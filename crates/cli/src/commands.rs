@@ -56,10 +56,10 @@ plan/train options:
                       trainer streams automatically when the in-core
                       residency (d + l + m)·n exceeds S_G
   --tile <int>        streamed tile width n_tile (default: widest that fits)
-  --producers <int>   streamed tile-assembly producer tasks (default: the
-                      cost-model partition of the EP2_THREADS budget between
-                      assembly and the update GEMM; the EP2_STREAM_PRODUCERS
-                      env var survives as a deprecated override)
+  --producers <int>   streamed tile-assembly producer tasks, honoured at
+                      every thread budget (default: the cost-model partition
+                      of the EP2_THREADS budget between assembly and the
+                      update GEMM)
   --epochs <int>      epoch cap for train            (default 10)
   --test-frac <f64>   held-out fraction for train    (default 0.2)
   --no-early-stop     disable validation early stopping
@@ -218,14 +218,11 @@ fn load_precision(parsed: &Parsed) -> Result<Precision, String> {
     }
 }
 
-/// The `--producers` override (explicit config wins over the deprecated
-/// `EP2_STREAM_PRODUCERS` env var, which the stream planner still honours
-/// beneath it).
+/// The `--producers` override (`None` = the planned producer count).
 fn resolve_producers(parsed: &Parsed) -> Result<Option<usize>, String> {
     match parsed.get_opt::<usize>("producers")? {
         Some(0) => Err("--producers must be positive".to_string()),
-        Some(p) => Ok(Some(p)),
-        None => Ok(ep2_stream::producer_override()),
+        p => Ok(p),
     }
 }
 

@@ -74,8 +74,8 @@ pub struct AutoParams {
     pub eta: f64,
     /// Appendix-C predicted acceleration of `k_G` over `k`.
     pub acceleration: f64,
-    /// The runtime's resolved thread budget (`EP2_THREADS`, the deprecated
-    /// `EP2_NUM_THREADS` alias, or the available CPUs) the plan was made
+    /// The runtime's resolved thread budget (`EP2_THREADS` or the available
+    /// CPUs) the plan was made
     /// under — every hot path of the run is accountable to it.
     pub threads: usize,
     /// Streamed runs only: how the budget splits between tile-assembly
@@ -153,9 +153,8 @@ pub fn plan<S: Scalar>(
 /// carries the budget partition between tile-assembly producers and the
 /// update GEMM ([`cost::partition_stream_threads`] over the planned shape
 /// — including the fitted `s`/`q` setup terms), with `producers_override`
-/// (the `--producers` flag or the deprecated `EP2_STREAM_PRODUCERS` env
-/// var) pinning the producer count; producers are clamped to the ring
-/// depth minus one, the pipeline's liveness bound.
+/// (the `--producers` flag) pinning the producer count; producers are
+/// clamped to the ring depth minus one, the pipeline's liveness bound.
 ///
 /// # Errors
 ///

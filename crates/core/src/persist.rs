@@ -37,7 +37,6 @@ use std::io::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use ep2_device::Precision;
 use ep2_kernels::KernelKind;
 use ep2_linalg::Matrix;
@@ -160,30 +159,72 @@ fn precision_from_tag(tag: u8) -> Result<Precision, CoreError> {
     }
 }
 
-fn put_state(buf: &mut BytesMut, s: &TrainerState) {
-    buf.put_u64_le(s.epochs_done);
-    buf.put_f64_le(s.eta);
-    buf.put_u32_le(s.eta_backoffs);
-    buf.put_u32_le(s.rollbacks);
-    buf.put_f64_le(s.best_val);
-    buf.put_u64_le(s.since_best);
-    buf.put_f64_le(s.prev_mse);
-    buf.put_f64_le(s.sgd_ops);
-    buf.put_f64_le(s.precond_ops);
-    buf.put_u64_le(s.iterations);
-    buf.put_f64_le(s.simulated_seconds);
-    buf.put_u64_le(s.sim_launches);
-    buf.put_f64_le(s.sim_total_ops);
-    buf.put_u64_le(s.plan_fingerprint);
-    buf.put_u8(precision_tag(s.precision));
-    buf.put_u64_le(s.history.len() as u64);
+fn put_state(buf: &mut Vec<u8>, s: &TrainerState) {
+    buf.extend_from_slice(&s.epochs_done.to_le_bytes());
+    buf.extend_from_slice(&s.eta.to_le_bytes());
+    buf.extend_from_slice(&s.eta_backoffs.to_le_bytes());
+    buf.extend_from_slice(&s.rollbacks.to_le_bytes());
+    buf.extend_from_slice(&s.best_val.to_le_bytes());
+    buf.extend_from_slice(&s.since_best.to_le_bytes());
+    buf.extend_from_slice(&s.prev_mse.to_le_bytes());
+    buf.extend_from_slice(&s.sgd_ops.to_le_bytes());
+    buf.extend_from_slice(&s.precond_ops.to_le_bytes());
+    buf.extend_from_slice(&s.iterations.to_le_bytes());
+    buf.extend_from_slice(&s.simulated_seconds.to_le_bytes());
+    buf.extend_from_slice(&s.sim_launches.to_le_bytes());
+    buf.extend_from_slice(&s.sim_total_ops.to_le_bytes());
+    buf.extend_from_slice(&s.plan_fingerprint.to_le_bytes());
+    buf.push(precision_tag(s.precision));
+    buf.extend_from_slice(&(s.history.len() as u64).to_le_bytes());
     for e in &s.history {
-        buf.put_u64_le(e.epoch as u64);
-        buf.put_f64_le(e.train_mse);
-        buf.put_u8(u8::from(e.val_error.is_some()));
-        buf.put_f64_le(e.val_error.unwrap_or(0.0));
-        buf.put_f64_le(e.simulated_seconds);
-        buf.put_f64_le(e.wall_seconds);
+        buf.extend_from_slice(&(e.epoch as u64).to_le_bytes());
+        buf.extend_from_slice(&e.train_mse.to_le_bytes());
+        buf.push(u8::from(e.val_error.is_some()));
+        buf.extend_from_slice(&e.val_error.unwrap_or(0.0).to_le_bytes());
+        buf.extend_from_slice(&e.simulated_seconds.to_le_bytes());
+        buf.extend_from_slice(&e.wall_seconds.to_le_bytes());
+    }
+}
+
+/// Little-endian reads off the front of a byte slice. Every caller checks
+/// the remaining length before it reads, so a short read is a bug and
+/// panics.
+struct Cursor<'a>(&'a [u8]);
+
+impl<'a> Cursor<'a> {
+    fn remaining(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Consumes and returns the next `n` bytes.
+    fn take(&mut self, n: usize) -> &'a [u8] {
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        head
+    }
+
+    fn array<const N: usize>(&mut self) -> [u8; N] {
+        self.take(N).try_into().expect("take returns N bytes")
+    }
+
+    fn u8(&mut self) -> u8 {
+        self.take(1)[0]
+    }
+
+    fn u16(&mut self) -> u16 {
+        u16::from_le_bytes(self.array())
+    }
+
+    fn u32(&mut self) -> u32 {
+        u32::from_le_bytes(self.array())
+    }
+
+    fn u64(&mut self) -> u64 {
+        u64::from_le_bytes(self.array())
+    }
+
+    fn f64(&mut self) -> f64 {
+        f64::from_le_bytes(self.array())
     }
 }
 
@@ -192,26 +233,26 @@ const STATE_FIXED_BYTES: usize = 8 + 8 + 4 + 4 + 8 + 8 + 8 + 8 + 8 + 8 + 8 + 8 +
 /// Bytes per serialised history entry.
 const HISTORY_ENTRY_BYTES: usize = 8 + 8 + 1 + 8 + 8 + 8;
 
-fn get_state(data: &mut &[u8]) -> Result<TrainerState, CoreError> {
+fn get_state(data: &mut Cursor<'_>) -> Result<TrainerState, CoreError> {
     if data.remaining() < STATE_FIXED_BYTES {
         return Err(err("truncated trainer state"));
     }
-    let epochs_done = data.get_u64_le();
-    let eta = data.get_f64_le();
-    let eta_backoffs = data.get_u32_le();
-    let rollbacks = data.get_u32_le();
-    let best_val = data.get_f64_le();
-    let since_best = data.get_u64_le();
-    let prev_mse = data.get_f64_le();
-    let sgd_ops = data.get_f64_le();
-    let precond_ops = data.get_f64_le();
-    let iterations = data.get_u64_le();
-    let simulated_seconds = data.get_f64_le();
-    let sim_launches = data.get_u64_le();
-    let sim_total_ops = data.get_f64_le();
-    let plan_fingerprint = data.get_u64_le();
-    let precision = precision_from_tag(data.get_u8())?;
-    let n_history = data.get_u64_le() as usize;
+    let epochs_done = data.u64();
+    let eta = data.f64();
+    let eta_backoffs = data.u32();
+    let rollbacks = data.u32();
+    let best_val = data.f64();
+    let since_best = data.u64();
+    let prev_mse = data.f64();
+    let sgd_ops = data.f64();
+    let precond_ops = data.f64();
+    let iterations = data.u64();
+    let simulated_seconds = data.f64();
+    let sim_launches = data.u64();
+    let sim_total_ops = data.f64();
+    let plan_fingerprint = data.u64();
+    let precision = precision_from_tag(data.u8())?;
+    let n_history = data.u64() as usize;
     let need = n_history
         .checked_mul(HISTORY_ENTRY_BYTES)
         .ok_or_else(|| err("trainer-state history length overflows"))?;
@@ -223,12 +264,12 @@ fn get_state(data: &mut &[u8]) -> Result<TrainerState, CoreError> {
     }
     let mut history = Vec::with_capacity(n_history);
     for _ in 0..n_history {
-        let epoch = data.get_u64_le() as usize;
-        let train_mse = data.get_f64_le();
-        let has_val = data.get_u8() != 0;
-        let val = data.get_f64_le();
-        let simulated_seconds = data.get_f64_le();
-        let wall_seconds = data.get_f64_le();
+        let epoch = data.u64() as usize;
+        let train_mse = data.f64();
+        let has_val = data.u8() != 0;
+        let val = data.f64();
+        let simulated_seconds = data.f64();
+        let wall_seconds = data.f64();
         history.push(EpochStats {
             epoch,
             train_mse,
@@ -268,7 +309,7 @@ fn get_state(data: &mut &[u8]) -> Result<TrainerState, CoreError> {
 /// Returns [`CoreError::InvalidConfig`] if the model's kernel is not one of
 /// the named families (a custom `Kernel` impl cannot be round-tripped by
 /// name).
-pub fn to_bytes(model: &KernelModel) -> Result<Bytes, CoreError> {
+pub fn to_bytes(model: &KernelModel) -> Result<Vec<u8>, CoreError> {
     to_bytes_with_state(model, None)
 }
 
@@ -282,7 +323,7 @@ pub fn to_bytes(model: &KernelModel) -> Result<Bytes, CoreError> {
 pub fn to_bytes_with_state(
     model: &KernelModel,
     state: Option<&TrainerState>,
-) -> Result<Bytes, CoreError> {
+) -> Result<Vec<u8>, CoreError> {
     let kernel = model.kernel();
     let name = kernel.name();
     if KernelKind::parse(name).is_none() {
@@ -294,18 +335,18 @@ pub fn to_bytes_with_state(
     let state_bytes = state
         .map(|s| STATE_FIXED_BYTES + s.history.len() * HISTORY_ENTRY_BYTES)
         .unwrap_or(0);
-    let mut buf = BytesMut::with_capacity(
+    let mut buf = Vec::with_capacity(
         4 + 4 + 2 + name.len() + 8 + 8 * 3 + 1 + state_bytes + 8 * (n * d + n * l) + 4,
     );
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u16_le(name.len() as u16);
-    buf.put_slice(name.as_bytes());
-    buf.put_f64_le(kernel.bandwidth());
-    buf.put_u64_le(n as u64);
-    buf.put_u64_le(d as u64);
-    buf.put_u64_le(l as u64);
-    buf.put_u8(if state.is_some() {
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&(name.len() as u16).to_le_bytes());
+    buf.extend_from_slice(name.as_bytes());
+    buf.extend_from_slice(&kernel.bandwidth().to_le_bytes());
+    buf.extend_from_slice(&(n as u64).to_le_bytes());
+    buf.extend_from_slice(&(d as u64).to_le_bytes());
+    buf.extend_from_slice(&(l as u64).to_le_bytes());
+    buf.push(if state.is_some() {
         FLAG_TRAINER_STATE
     } else {
         0
@@ -314,43 +355,41 @@ pub fn to_bytes_with_state(
         put_state(&mut buf, s);
     }
     for &v in model.centers().as_slice() {
-        buf.put_f64_le(v);
+        buf.extend_from_slice(&v.to_le_bytes());
     }
     for &v in model.weights().as_slice() {
-        buf.put_f64_le(v);
+        buf.extend_from_slice(&v.to_le_bytes());
     }
     let crc = crc32(&buf);
-    buf.put_u32_le(crc);
-    Ok(buf.freeze())
+    buf.extend_from_slice(&crc.to_le_bytes());
+    Ok(buf)
 }
 
 /// Parses the common header (shared by v1 and v2), returning
 /// `(version, name, bandwidth, n, d, l)` with `data` advanced past it.
 fn get_header<'a>(
-    data: &mut &'a [u8],
+    data: &mut Cursor<'a>,
 ) -> Result<(u32, &'a str, f64, usize, usize, usize), CoreError> {
-    if data.len() < 8 || &data[..4] != MAGIC {
+    if data.remaining() < 8 || data.take(4) != MAGIC {
         return Err(err("not an EP2M model file (bad magic)"));
     }
-    data.advance(4);
-    let version = data.get_u32_le();
+    let version = data.u32();
     if version == 0 || version > VERSION {
         return Err(err(format!("unsupported model version {version}")));
     }
     if data.remaining() < 2 {
         return Err(err("truncated model file"));
     }
-    let name_len = data.get_u16_le() as usize;
+    let name_len = data.u16() as usize;
     if data.remaining() < name_len + 8 * 4 {
         return Err(err("truncated model file"));
     }
     let name =
-        std::str::from_utf8(&data[..name_len]).map_err(|_| err("kernel name is not UTF-8"))?;
-    data.advance(name_len);
-    let bandwidth = data.get_f64_le();
-    let n = data.get_u64_le() as usize;
-    let d = data.get_u64_le() as usize;
-    let l = data.get_u64_le() as usize;
+        std::str::from_utf8(data.take(name_len)).map_err(|_| err("kernel name is not UTF-8"))?;
+    let bandwidth = data.f64();
+    let n = data.u64() as usize;
+    let d = data.u64() as usize;
+    let l = data.u64() as usize;
     Ok((version, name, bandwidth, n, d, l))
 }
 
@@ -381,8 +420,8 @@ pub fn from_bytes(data: &[u8]) -> Result<KernelModel, CoreError> {
 /// # Errors
 ///
 /// Same conditions as [`from_bytes`].
-pub fn from_bytes_full(mut data: &[u8]) -> Result<(KernelModel, Option<TrainerState>), CoreError> {
-    let whole = data;
+pub fn from_bytes_full(whole: &[u8]) -> Result<(KernelModel, Option<TrainerState>), CoreError> {
+    let mut data = Cursor(whole);
     let (version, name, bandwidth, n, d, l) = get_header(&mut data)?;
     let kind = KernelKind::parse(name).ok_or_else(|| err(format!("unknown kernel {name}")))?;
     if !(bandwidth > 0.0 && bandwidth.is_finite()) {
@@ -404,7 +443,7 @@ pub fn from_bytes_full(mut data: &[u8]) -> Result<(KernelModel, Option<TrainerSt
                  — the file is corrupt or was torn mid-write"
             )));
         }
-        let flags = data.get_u8();
+        let flags = data.u8();
         if flags & !FLAG_TRAINER_STATE != 0 {
             return Err(err(format!("unknown flags {flags:#04x}")));
         }
@@ -422,11 +461,11 @@ pub fn from_bytes_full(mut data: &[u8]) -> Result<(KernelModel, Option<TrainerSt
     }
     let mut centers = vec![0.0_f64; n * d];
     for v in &mut centers {
-        *v = data.get_f64_le();
+        *v = data.f64();
     }
     let mut weights = vec![0.0_f64; n * l];
     for v in &mut weights {
-        *v = data.get_f64_le();
+        *v = data.f64();
     }
     let kernel: Arc<dyn ep2_kernels::Kernel> = kind.with_bandwidth(bandwidth).into();
     Ok((
@@ -670,8 +709,8 @@ pub struct Inspection {
 /// # Errors
 ///
 /// Returns [`CoreError::InvalidConfig`] when even the header is unreadable.
-pub fn inspect(mut data: &[u8]) -> Result<Inspection, CoreError> {
-    let whole = data;
+pub fn inspect(whole: &[u8]) -> Result<Inspection, CoreError> {
+    let mut data = Cursor(whole);
     let (version, name, bandwidth, n, d, l) = get_header(&mut data)?;
     let checksum = if version >= 2 {
         if whole.len() < 4 {
@@ -694,7 +733,7 @@ pub fn inspect(mut data: &[u8]) -> Result<Inspection, CoreError> {
     };
     let mut state = None;
     if version >= 2 && data.remaining() >= 1 {
-        let flags = data.get_u8();
+        let flags = data.u8();
         if flags & FLAG_TRAINER_STATE != 0 {
             // Best-effort: a torn file may truncate inside the state; the
             // inspection then reports it as absent rather than failing.
@@ -885,20 +924,20 @@ mod tests {
     fn v1_files_still_load() {
         // Hand-build a v1 record for the same model.
         let m = model();
-        let mut buf = BytesMut::with_capacity(256);
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(1);
-        buf.put_u16_le(9);
-        buf.put_slice(b"laplacian");
-        buf.put_f64_le(2.5);
-        buf.put_u64_le(7);
-        buf.put_u64_le(3);
-        buf.put_u64_le(2);
+        let mut buf = Vec::with_capacity(256);
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.extend_from_slice(&9u16.to_le_bytes());
+        buf.extend_from_slice(b"laplacian");
+        buf.extend_from_slice(&2.5f64.to_le_bytes());
+        buf.extend_from_slice(&7u64.to_le_bytes());
+        buf.extend_from_slice(&3u64.to_le_bytes());
+        buf.extend_from_slice(&2u64.to_le_bytes());
         for &v in m.centers().as_slice() {
-            buf.put_f64_le(v);
+            buf.extend_from_slice(&v.to_le_bytes());
         }
         for &v in m.weights().as_slice() {
-            buf.put_f64_le(v);
+            buf.extend_from_slice(&v.to_le_bytes());
         }
         let m2 = from_bytes(&buf).unwrap();
         assert_eq!(m.weights().as_slice(), m2.weights().as_slice());

@@ -147,9 +147,8 @@ pub struct TrainConfig {
     /// Streamed-mode producer-count override (tile-assembly stage tasks).
     /// `None` (the default) lets `autotune::plan_streamed` partition the
     /// thread budget between assembly and the update GEMM via the
-    /// `device::cost` overlap model; the deprecated `EP2_STREAM_PRODUCERS`
-    /// env var is honoured beneath an explicit setting. Clamped to the ring
-    /// depth minus one (the pipeline's liveness bound).
+    /// `device::cost` overlap model. An explicit count is honoured at every
+    /// thread budget (the ring is sized to fit it).
     pub stream_producers: Option<usize>,
     /// RNG seed (subsampling + batch shuffling).
     pub seed: u64,
@@ -428,12 +427,12 @@ impl EigenPro2 {
         }
 
         // Steps 1–2 (+ Step-3 parameters), residency-specific. The producer
-        // count resolves explicit config > deprecated env var > planned;
+        // count is the explicit config, else planned;
         // `max_batch_streamed_planned` (shared with `ep2 plan`, so both
         // always agree on the tiling) sizes the ring to the planned
         // producer count, and the final cost-model partition runs inside
         // `plan_streamed` once `s`/`q` are known.
-        let requested_producers = cfg.stream_producers.or(ep2_stream::producer_override());
+        let requested_producers = cfg.stream_producers;
         let mut stream_plan = match residency {
             ResidencyMode::InCore => None,
             ResidencyMode::Streamed => {

@@ -26,7 +26,6 @@
 //! halve `m` until a tile of useful width fits the ring budget.
 
 use crate::{MemoryError, Precision, ResourceSpec};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Where the training set's kernel blocks live during training.
@@ -36,7 +35,7 @@ use std::fmt;
 /// `Streamed` is the out-of-core extension: kernel blocks are produced
 /// tile-by-tile into a bounded ring and consumed by the training iteration,
 /// so `n` beyond the ledger becomes trainable at streaming speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResidencyMode {
     /// Everything resident (the paper's Step-1 accounting).
     InCore,
@@ -55,7 +54,7 @@ impl fmt::Display for ResidencyMode {
 
 /// The outcome of the Step-1 calculation, including both intermediate batch
 /// sizes (exposed per C-INTERMEDIATE so harnesses can report them).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchPlan {
     /// `m^C_G`: batch saturating the parallel capacity.
     pub capacity_batch: usize,
@@ -203,7 +202,7 @@ pub fn streamed_slots(
 }
 
 /// The outcome of the streamed Step-1 calculation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamedBatchPlan {
     /// Mini-batch size `m` (capacity batch, possibly shrunk to fit the ring).
     pub m: usize,
@@ -326,8 +325,8 @@ pub fn max_batch_streamed(
 /// producers than the ring admits. Wide tiles therefore keep the PR 3
 /// double-buffered ring on any core count; only genuinely multi-producer
 /// pipelines pay for extra slots. An explicit `producers_override` (CLI
-/// flag / config / deprecated env var) sizes the ring to `override + 1`
-/// directly.
+/// flag / config) sizes the ring to `override + 1` directly, at every
+/// budget.
 ///
 /// # Errors
 ///
@@ -350,15 +349,9 @@ pub fn max_batch_streamed_planned(
     total_threads: usize,
 ) -> Result<StreamedBatchPlan, MemoryError> {
     if let Some(p) = producers_override {
-        // Mirror `partition_stream_threads`' budget clamp (producers +
-        // consumer ≤ total on a multi-thread budget) so the ring is sized
-        // for the producer count that will actually run.
-        let p = if total_threads > 1 {
-            p.clamp(1, total_threads - 1)
-        } else {
-            p.max(1)
-        };
-        let tif = DEFAULT_TILES_IN_FLIGHT.max(p + 1);
+        // An explicit count runs verbatim at every budget (see
+        // `partition_stream_threads`), so the ring is sized for it directly.
+        let tif = DEFAULT_TILES_IN_FLIGHT.max(p.max(1) + 1);
         return max_batch_streamed(spec, n, d, l, precision, tif, m_override);
     }
     let splan = max_batch_streamed(

@@ -11,12 +11,10 @@
 //! - EigenPro 2.0 raises `m*(k_G)` to match, extending linear scaling
 //!   across devices exactly as it does across one device's cores.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{batch, timing, DeviceMode, Precision, ResourceSpec};
 
 /// A cluster of `g` identical devices with a communication link.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     /// The per-device spec.
     pub device: ResourceSpec,

@@ -10,10 +10,8 @@
 //! improved iteration's overhead depends on the fixed block size `s` instead
 //! of the data size `n`, which is the whole point of Section 4.
 
-use serde::{Deserialize, Serialize};
-
 /// Problem-shape parameters entering the Table-1 formulas.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProblemShape {
     /// Training set size `n`.
     pub n: usize,
@@ -31,7 +29,7 @@ pub struct ProblemShape {
 
 /// Computation (operations) and memory (matrix-element slots) for one
 /// iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterationCost {
     /// Operation count per iteration.
     pub compute_ops: f64,
@@ -89,7 +87,7 @@ pub fn original_eigenpro(shape: &ProblemShape) -> IterationCost {
 /// `m x n` kernel block is produced as `⌈n / n_tile⌉` tiles into a bounded
 /// ring while the consumer applies the preconditioned update, so assembly
 /// of tile `t+1` overlaps compute on tile `t`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamedCost {
     /// Producer-side work: kernel-block assembly, `m·n·d` ops.
     pub assembly_ops: f64,
@@ -159,7 +157,7 @@ pub fn streamed_eigenpro(shape: &ProblemShape, n_tile: usize) -> StreamedCost {
 /// [`partition_stream_threads`] from the overlap model above; threaded from
 /// `autotune::plan_streamed` through `TrainConfig` down to the stream
 /// engine, so every hot path is accountable to the same budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamThreadPlan {
     /// The whole budget (the runtime's resolved thread count).
     pub total: usize,
@@ -200,18 +198,16 @@ pub const REF_STREAM_TILE: usize = 256;
 /// producers and its update side, proportionally to the overlap model's
 /// `assembly_ops : update_ops` split for this shape and tiling.
 ///
-/// `producers_override` (the `--producers` flag / deprecated
-/// `EP2_STREAM_PRODUCERS` env var) pins the producer count, clamped to
-/// `total - 1` so producers plus the consumer never exceed the budget (the
-/// `total == 1` degenerate case keeps the override verbatim — a
-/// single-thread budget cannot run a pipeline without oversubscribing, so
-/// the count is the pipeline's shape there, not a thread claim); the
-/// assembly budget is then divided among that many tasks. Without an
-/// override, the producer count grows as tiles narrow below
-/// [`REF_STREAM_TILE`] — wide tiles keep one producer whose GEMM threads
-/// internally, narrow tiles spread across producers because intra-GEMM
-/// scaling has nothing to chew on (the ROADMAP's "producer-count
-/// autotuner").
+/// `producers_override` (the `--producers` flag /
+/// `TrainConfig::stream_producers`) pins the producer count verbatim at
+/// every budget — an explicit count means the same pipeline on any
+/// machine, oversubscribing the budget when it asks for more producers
+/// than `total - 1` — and the assembly budget is then divided among that
+/// many tasks. Without an override, the producer count grows as tiles
+/// narrow below [`REF_STREAM_TILE`] — wide tiles keep one producer whose
+/// GEMM threads internally, narrow tiles spread across producers because
+/// intra-GEMM scaling has nothing to chew on (the ROADMAP's
+/// "producer-count autotuner").
 ///
 /// # Panics
 ///
@@ -234,7 +230,7 @@ pub fn partition_stream_threads(
     let share = cost.assembly_ops / both;
     let assembly = ((total as f64 * share).round() as usize).clamp(1, total - 1);
     let producers = producers_override
-        .map(|p| p.clamp(1, total - 1))
+        .map(|p| p.max(1))
         .unwrap_or_else(|| (assembly * REF_STREAM_TILE / n_tile.max(1)).clamp(1, assembly));
     let producer_threads = (assembly / producers).max(1);
     // Threads the producer split cannot use evenly go to the update side,
@@ -417,11 +413,11 @@ mod tests {
         let forced = partition_stream_threads(&shape, 256, 8, Some(3));
         assert_eq!(forced.producers, 3);
         assert!(forced.update_threads >= 1);
-        // An override past the budget is clamped: producers + consumer
-        // must never oversubscribe a multi-thread budget.
+        // An override past the budget is honoured and oversubscribes.
         let over = partition_stream_threads(&shape, 256, 4, Some(8));
-        assert_eq!(over.producers, 3);
-        assert!(over.assembly_threads() + over.update_threads <= 4);
+        assert_eq!(over.producers, 8);
+        assert_eq!(over.producer_threads, 1);
+        assert!(over.update_threads >= 1);
         let serial = partition_stream_threads(&shape, 256, 1, None);
         assert_eq!(serial, StreamThreadPlan::serial());
         let serial_forced = partition_stream_threads(&shape, 256, 1, Some(2));

@@ -7,10 +7,9 @@
 //! so Figure 3b's "batches that fit into GPU memory" constraint is enforced
 //! rather than assumed.
 
-use parking_lot::Mutex;
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Error returned when an allocation would exceed the device budget.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,7 +115,7 @@ impl MemoryLedger {
             slots >= 0.0 && slots.is_finite(),
             "slots must be non-negative"
         );
-        let mut st = self.state.lock();
+        let mut st = self.lock();
         st.allocs += 1;
         // `alloc_fail@step=k` fails this ledger's k-th allocation as if the
         // budget were exhausted — the graceful-degradation paths (re-plan to
@@ -141,12 +140,12 @@ impl MemoryLedger {
 
     /// Slots currently charged.
     pub fn in_use(&self) -> f64 {
-        self.state.lock().in_use
+        self.lock().in_use
     }
 
     /// High-water mark of charged slots.
     pub fn peak(&self) -> f64 {
-        self.state.lock().peak
+        self.lock().peak
     }
 
     /// High-water mark of charged slots — the same quantity as
@@ -159,17 +158,23 @@ impl MemoryLedger {
 
     /// Total budget `S_G`.
     pub fn budget(&self) -> f64 {
-        self.state.lock().budget
+        self.lock().budget
     }
 
     /// Remaining free slots.
     pub fn available(&self) -> f64 {
-        let st = self.state.lock();
+        let st = self.lock();
         st.budget - st.in_use
     }
 
+    /// Locks the ledger state. A panic while the lock was held cannot leave
+    /// the few plain counters half-updated, so poisoning is recovered.
+    fn lock(&self) -> MutexGuard<'_, LedgerState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn release(&self, slots: f64) {
-        let mut st = self.state.lock();
+        let mut st = self.lock();
         st.in_use = (st.in_use - slots).max(0.0);
     }
 }

@@ -10,7 +10,6 @@
 //! batch planner ([`crate::batch::max_batch_with`]) and the memory ledger
 //! use.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Numeric precision policy for training.
@@ -31,7 +30,7 @@ use std::fmt;
 /// `n_tile` double vs f32 at equal `S_G`) while every GEMM register tile
 /// and error-sensitive reduction still computes in f32 and planning runs at
 /// f64.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Precision {
     /// Single precision end to end — the paper's GPU scenario.
     F32,

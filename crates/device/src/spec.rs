@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// The paper's abstraction of a parallel computational resource `G`,
 /// extended with the two timing constants the simulator needs.
 ///
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// `memory_floats` counts *storage slots for matrix elements* rather than
 /// bytes so that the Step-1 formula `(d + l + m) · n ≤ S_G` can be used
 /// verbatim; the paper trains in f32, so a 12 GB card holds `3e9` slots.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResourceSpec {
     /// Human-readable device name.
     pub name: String,
@@ -186,13 +184,5 @@ mod tests {
             spec.memory_slots(crate::Precision::F64),
             spec.memory_floats / 2.0
         );
-    }
-
-    #[test]
-    fn spec_is_serializable() {
-        // Compile-time check that the serde derives exist (serde_json is not
-        // a workspace dependency).
-        fn assert_serialize<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
-        assert_serialize::<ResourceSpec>();
     }
 }

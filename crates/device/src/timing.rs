@@ -17,10 +17,9 @@
 //! "simulated GPU seconds" next to real CPU seconds.
 
 use crate::ResourceSpec;
-use serde::{Deserialize, Serialize};
 
 /// Which idealisation of the device to simulate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceMode {
     /// Constant time per launch regardless of batch size (no overhead).
     IdealParallel,

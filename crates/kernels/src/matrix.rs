@@ -2,28 +2,18 @@
 //! precision [`Scalar`].
 //!
 //! For radial kernels the `n x m` cross matrix `K[i][j] = k(a_i, b_j)` is
-//! assembled as `g(‖a_i‖² + ‖b_j‖² − 2 a_i·b_j)`: one GEMM with the
-//! d²-reassembly and radial profile **fused into its write-back** as a
-//! [`blas::gemm_nt_epilogue`] hook, so each output tile is touched exactly
-//! once while it is cache-hot. This is exactly how GPU kernel methods
-//! (including the reference EigenPro implementation) compute kernels, so
-//! the operation count `(2d + c) · n · m` matches the device cost model.
-//! Instantiated at `f32` this is the paper's actual GPU configuration. The
-//! pre-fusion two-pass assembly (GEMM, then a separate element-wise pass
-//! re-reading the whole output) is kept as [`kernel_cross_into_two_pass`],
-//! the reference the parity suite pins the fused path against bit for bit
-//! and the baseline `hot_paths` measures it against (`assembly_fused` rows
-//! in `BENCH_gemm.json`). On the 1-core dev host the radial profile's
-//! `exp` dominates assembly and the two paths run at parity — the fusion
-//! win there is structural (one write-back sweep, and an epilogue seam
-//! serve-path hooks can reuse); the measured bf16 assembly win rides the
-//! profile's `Compute`-width evaluation (see [`crate::Kernel`]), which
-//! measuring the fused path surfaced.
+//! assembled as `g(‖a_i‖² + ‖b_j‖² − 2 a_i·b_j)` in two passes: one packed
+//! `−2 A Bᵀ` GEMM ([`blas::gemm_nt`]), then an element-wise sweep that
+//! reassembles d² and applies the radial profile a vector register at a
+//! time. This is exactly how GPU kernel methods (including the reference
+//! EigenPro implementation) compute kernels, so the operation count
+//! `(2d + c) · n · m` matches the device cost model. Instantiated at `f32`
+//! this is the paper's actual GPU configuration. The profile evaluates at
+//! [`Scalar::Compute`] width with one final narrowing (see
+//! [`crate::Kernel`]), which is what keeps bf16 assembly close to f32.
 
 use crate::Kernel;
-use ep2_linalg::gemm::Epilogue;
 use ep2_linalg::{blas, ops, parallel, vmath, Matrix, Scalar};
-use std::any::TypeId;
 
 /// Assembles the cross kernel matrix `K[i][j] = k(a_i, b_j)` of shape
 /// `(a.rows(), b.rows())`.
@@ -33,9 +23,9 @@ use std::any::TypeId;
 /// Panics if `a.cols() != b.cols()`.
 pub fn kernel_cross<S: Scalar>(kernel: &dyn Kernel<S>, a: &Matrix<S>, b: &Matrix<S>) -> Matrix<S> {
     assert_eq!(a.cols(), b.cols(), "kernel_cross: feature dims differ");
-    let a_sq = row_sq_norms(a);
-    let b_sq = row_sq_norms(b);
-    kernel_cross_with_norms(kernel, a, b, &a_sq, &b_sq)
+    let mut k = Matrix::zeros(a.rows(), b.rows());
+    kernel_cross_into(kernel, a, b, &row_sq_norms(a), &row_sq_norms(b), &mut k);
+    k
 }
 
 /// Squared Euclidean norm of every row (the `‖x‖²` terms of the Gram
@@ -56,24 +46,6 @@ pub fn row_sq_norms<S: Scalar>(x: &Matrix<S>) -> Vec<S::Accum> {
 pub fn row_sq_norms_into<S: Scalar>(x: &Matrix<S>, out: &mut Vec<S::Accum>) {
     out.clear();
     out.extend((0..x.rows()).map(|i| ops::dot_wide(x.row(i), x.row(i))));
-}
-
-/// [`kernel_cross`] with the row norms precomputed — the symmetric
-/// [`kernel_matrix`] path computes them once and passes them for both sides.
-fn kernel_cross_with_norms<S: Scalar>(
-    kernel: &dyn Kernel<S>,
-    a: &Matrix<S>,
-    b: &Matrix<S>,
-    a_sq: &[S::Accum],
-    b_sq: &[S::Accum],
-) -> Matrix<S> {
-    let (n, m) = (a.rows(), b.rows());
-    let mut k = Matrix::zeros(n, m);
-    if n == 0 || m == 0 {
-        return k;
-    }
-    kernel_cross_into(kernel, a, b, a_sq, b_sq, &mut k);
-    k
 }
 
 /// Tile-wise assembly entry point: computes `out[i][j] = k(a_i, b_j)` into
@@ -97,50 +69,25 @@ pub fn kernel_cross_into<S: Scalar>(
     b_sq: &[S::Accum],
     out: &mut Matrix<S>,
 ) {
-    let Some(epi) = assembly_preamble(kernel, a, b, a_sq, b_sq, out, false) else {
-        return;
-    };
-    // -2 A B^T through the packed register-blocked engine (B^T is a stride
-    // swap at packing time), with the d² reassembly and radial profile
-    // fused into the C write-back: each tile is mapped while still cache-
-    // hot instead of being stored, re-read and re-stored by a second pass.
-    blas::gemm_nt_epilogue(S::from_f64(-2.0), a, b, S::ZERO, out, &epi);
-}
-
-/// The pre-fusion two-pass assembly, kept as the reference baseline: the
-/// plain `gemm_nt` cross-term product followed by a separate element-wise
-/// profile pass over `out`. Same contract as [`kernel_cross_into`]; the
-/// `fused_parity` suite asserts the two produce **bit-for-bit identical**
-/// output for every kernel family × precision × engine, and `hot_paths`
-/// measures the fusion win against this path.
-///
-/// # Panics
-///
-/// Panics if the feature dimensions differ, `out` is not
-/// `a.rows() x b.rows()`, or a norm slice is shorter than its side.
-pub fn kernel_cross_into_two_pass<S: Scalar>(
-    kernel: &dyn Kernel<S>,
-    a: &Matrix<S>,
-    b: &Matrix<S>,
-    a_sq: &[S::Accum],
-    b_sq: &[S::Accum],
-    out: &mut Matrix<S>,
-) {
-    if assembly_preamble(kernel, a, b, a_sq, b_sq, out, false).is_none() {
+    assert_eq!(a.cols(), b.cols(), "kernel_cross_into: feature dims differ");
+    let (n, m) = (a.rows(), b.rows());
+    assert_eq!(out.shape(), (n, m), "kernel_cross_into: bad output shape");
+    assert!(a_sq.len() >= n && b_sq.len() >= m, "norm slice too short");
+    if n == 0 || m == 0 {
         return;
     }
-    let m = b.rows();
-    // Pass 1 — the cross-term GEMM, dominant cost of assembly.
+    // Pass 1 — the cross-term GEMM through the packed register-blocked
+    // engine (B^T is a stride swap at packing time), dominant cost of
+    // assembly.
     blas::gemm_nt(S::from_f64(-2.0), a, b, S::ZERO, out);
     // Pass 2 — element-wise radial profile, parallel over row chunks. The
     // squared distance is reassembled at Accum width — the norms never
     // rounded to `S` — and narrows exactly once, going into the radial
     // profile; under bf16 storage each stored entry therefore carries a
     // handful of 2^-8 relative roundings (see README, "Precision"), not an
-    // O(‖x‖²)-sized cancellation error. (The fused epilogue replicates
-    // exactly this chain, reading the stored-rounded cross term.)
+    // O(‖x‖²)-sized cancellation error.
     let cols = m;
-    parallel::for_each_chunk_mut(out.as_mut_slice(), cols.max(1) * 64, |off, chunk| {
+    parallel::for_each_chunk_mut(out.as_mut_slice(), cols * 64, |off, chunk| {
         let mut d2 = [<S::Compute as Scalar>::ZERO; vmath::BLOCK];
         let mut pos = 0;
         while pos < chunk.len() {
@@ -159,8 +106,7 @@ pub fn kernel_cross_into_two_pass<S: Scalar>(
 /// norms, clamps at Accum width, and narrows through storage to
 /// [`Scalar::Compute`] with a final nonnegativity clamp — per lane exactly
 /// the scalar chain `of_sq_dist(S::from_accum(d2))` runs up to its profile
-/// body, as one vectorizable loop shared by the fused epilogue and the
-/// two-pass reference.
+/// body, as one vectorizable loop.
 #[inline]
 fn d2_lanes<S: Scalar>(a_sq_i: S::Accum, b_sq: &[S::Accum], stored: &[S], d2: &mut [S::Compute]) {
     for ((d, &bs), &v) in d2.iter_mut().zip(b_sq).zip(stored) {
@@ -171,143 +117,19 @@ fn d2_lanes<S: Scalar>(a_sq_i: S::Accum, b_sq: &[S::Accum], stored: &[S], d2: &m
     }
 }
 
-/// Shared shape checks of the assembly entry points; returns the fused
-/// epilogue to run, or `None` when the output is empty and the caller is
-/// done.
-fn assembly_preamble<'k, S: Scalar>(
-    kernel: &'k dyn Kernel<S>,
-    a: &Matrix<S>,
-    b: &Matrix<S>,
-    a_sq: &'k [S::Accum],
-    b_sq: &'k [S::Accum],
-    out: &mut Matrix<S>,
-    lower_only: bool,
-) -> Option<ProfileEpilogue<'k, S>> {
-    assert_eq!(a.cols(), b.cols(), "kernel_cross_into: feature dims differ");
-    let (n, m) = (a.rows(), b.rows());
-    assert_eq!(out.shape(), (n, m), "kernel_cross_into: bad output shape");
-    assert!(a_sq.len() >= n && b_sq.len() >= m, "norm slice too short");
-    if n == 0 || m == 0 {
-        return None;
-    }
-    Some(ProfileEpilogue {
-        kernel,
-        a_sq,
-        b_sq,
-        lower_only,
-    })
-}
-
-/// The fused assembly hook: maps one fully-accumulated `-2 a_i·b_j` cross
-/// term to `k(a_i, b_j)` inside the GEMM write-back.
-struct ProfileEpilogue<'k, S: Scalar> {
-    kernel: &'k dyn Kernel<S>,
-    a_sq: &'k [S::Accum],
-    b_sq: &'k [S::Accum],
-    /// When set, strictly-upper entries (`col > row`) short-circuit to zero
-    /// and the symmetric [`kernel_matrix`] path mirrors the lower triangle
-    /// instead — half the profile evaluations skipped.
-    lower_only: bool,
-}
-
-impl<S: Scalar> Epilogue<S> for ProfileEpilogue<'_, S> {
-    #[inline]
-    fn apply(&self, row: usize, col: usize, acc: S::Compute) -> S {
-        if self.lower_only && col > row {
-            return S::ZERO;
-        }
-        // Round the cross term through storage first, exactly as the
-        // two-pass reference stores it before re-reading (identity for the
-        // native floats; the single bf16 narrowing, now in-register), then
-        // reassemble d² at Accum width. This keeps the fused chain
-        // bit-for-bit the reference chain — the win is the eliminated
-        // memory round-trip, not dropped rounding steps.
-        let stored = S::from_compute(acc);
-        let d2 = (self.a_sq[row] + self.b_sq[col] + stored.accum()).max(S::Accum::ZERO);
-        self.kernel.of_sq_dist(S::from_accum(d2))
-    }
-
-    // The batched write-back: same chain as `apply`, but staged — storage
-    // rounding of the whole segment, then lane-batched d² reassembly, then
-    // the kernel's lane-batched profile — so the transcendental tail runs
-    // a vector register wide instead of one libm call per entry. Per lane
-    // the arithmetic is identical to `apply`, which is what keeps the
-    // fused and two-pass paths bit-for-bit equal however the engines
-    // segment rows.
-    fn apply_row(&self, row: usize, col0: usize, acc: &[S::Compute], out: &mut [S]) {
-        debug_assert_eq!(acc.len(), out.len());
-        // With `lower_only` set, entries past the diagonal zero out and
-        // skip the profile entirely; only the prefix up to (and including)
-        // the diagonal is live.
-        let live = if self.lower_only {
-            (row + 1).saturating_sub(col0).min(acc.len())
-        } else {
-            acc.len()
-        };
-        let a_sq_i = self.a_sq[row];
-        let mut d2 = [<S::Compute as Scalar>::ZERO; vmath::BLOCK];
-        let mut j = 0;
-        while j < live {
-            let len = (live - j).min(vmath::BLOCK);
-            let seg = &mut out[j..j + len];
-            for (o, &a) in seg.iter_mut().zip(&acc[j..j + len]) {
-                *o = S::from_compute(a);
-            }
-            d2_lanes(
-                a_sq_i,
-                &self.b_sq[col0 + j..col0 + j + len],
-                seg,
-                &mut d2[..len],
-            );
-            self.kernel.profile_lanes(&d2[..len], seg);
-            j += len;
-        }
-        for o in &mut out[live..] {
-            *o = S::ZERO;
-        }
-    }
-}
-
-/// Whether `S` stores the packed-GEMM compute type exactly (`f32`/`f64`,
-/// not `Bf16`) — the condition under which assembled cross matrices of a
-/// point set against itself are **exactly** symmetric (entry `(i, j)` and
-/// `(j, i)` accumulate the same products in the same `pc`-ascending order;
-/// under bf16 storage the interior- vs. edge-tile write-back chains round
-/// differently, so exact symmetry can break at tile boundaries).
-fn storage_is_compute<S: Scalar>() -> bool {
-    TypeId::of::<S>() == TypeId::of::<S::Compute>()
-}
-
 /// Assembles the symmetric kernel matrix `K[i][j] = k(x_i, x_j)`.
 ///
 /// The result is exactly symmetric with a unit diagonal (enforced after the
 /// floating-point assembly). The row norms are computed once and shared by
-/// both sides of the Gram expansion.
-///
-/// For the native floats the fused epilogue only evaluates the radial
-/// profile on the diagonal-and-lower triangle and the upper one is mirrored
-/// — bitwise the same result, because the assembled cross matrix of `x`
-/// against itself is exactly symmetric there (see `storage_is_compute`),
-/// at half the profile cost (measured: 1.07–1.22x `kernel_matrix`
-/// wall-clock at d = 256, n = 1000/4000 — the `kernel_matrix_lower` rows
-/// in `BENCH_gemm.json`; the GEMM itself still computes both triangles, so
-/// the saving is bounded by the profile share). Under bf16 storage exact
-/// symmetry can break at tile boundaries, so that path keeps the full
-/// assembly + symmetrize average, preserving its pre-fusion output bit for
-/// bit.
+/// both sides of the Gram expansion: this is [`kernel_cross_into`] of `x`
+/// against itself, [`Matrix::symmetrize`], then the diagonal set to
+/// `k(0)`, for every precision.
 pub fn kernel_matrix<S: Scalar>(kernel: &dyn Kernel<S>, x: &Matrix<S>) -> Matrix<S> {
     let x_sq = row_sq_norms(x);
     let n = x.rows();
     let mut k = Matrix::zeros(n, n);
-    if n > 0 && storage_is_compute::<S>() {
-        let epi = assembly_preamble(kernel, x, x, &x_sq, &x_sq, &mut k, true)
-            .expect("n > 0 checked above");
-        blas::gemm_nt_epilogue(S::from_f64(-2.0), x, x, S::ZERO, &mut k, &epi);
-        k.mirror_lower();
-    } else {
-        kernel_cross_into(kernel, x, x, &x_sq, &x_sq, &mut k);
-        k.symmetrize();
-    }
+    kernel_cross_into(kernel, x, x, &x_sq, &x_sq, &mut k);
+    k.symmetrize();
     for i in 0..n {
         k[(i, i)] = kernel.of_sq_dist(S::ZERO);
     }

@@ -19,7 +19,7 @@
 //! baseline the benches compare against and a second reference for the
 //! property tests.
 
-use crate::gemm::{gemm_auto, gemm_auto_epilogue, Epilogue, View};
+use crate::gemm::{gemm_auto, View};
 use crate::ops;
 use crate::parallel;
 use crate::scalar::Scalar;
@@ -270,40 +270,6 @@ pub fn gemm_nt<S: Scalar>(alpha: S, a: &Matrix<S>, b: &Matrix<S>, beta: S, c: &m
         View::transposed(b.as_slice(), b.rows(), b.cols()),
         beta,
         c.as_mut_slice(),
-    );
-}
-
-/// [`gemm_nt`] with a fused write-back epilogue
-/// ([`Epilogue`]): each fully-accumulated entry is
-/// handed to `epi` at [`Scalar::Compute`] width — while its register tile
-/// is still cache-hot — instead of being stored directly. This is the entry
-/// point kernel assembly uses to apply the radial profile inside the
-/// `-2 A B^T` cross-term product's write-back, collapsing assembly from two
-/// memory sweeps per tile to one; see [`crate::gemm::Epilogue`] for the
-/// exactness contract (fused ≡ plain-GEMM-then-map, bit for bit).
-///
-/// # Panics
-///
-/// Panics if the shapes are incompatible
-/// (`a.cols() != b.cols()`, `c.shape() != (a.rows(), b.rows())`).
-pub fn gemm_nt_epilogue<S: Scalar, E: Epilogue<S>>(
-    alpha: S,
-    a: &Matrix<S>,
-    b: &Matrix<S>,
-    beta: S,
-    c: &mut Matrix<S>,
-    epi: &E,
-) {
-    assert_eq!(a.cols(), b.cols(), "gemm_nt: inner dimension mismatch");
-    assert_eq!(c.rows(), a.rows(), "gemm_nt: C row mismatch");
-    assert_eq!(c.cols(), b.rows(), "gemm_nt: C col mismatch");
-    gemm_auto_epilogue(
-        alpha,
-        View::row_major(a.as_slice(), a.rows(), a.cols()),
-        View::transposed(b.as_slice(), b.rows(), b.cols()),
-        beta,
-        c.as_mut_slice(),
-        epi,
     );
 }
 

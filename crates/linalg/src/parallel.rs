@@ -13,8 +13,8 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// Number of worker threads the current context may use: the runtime's
-/// active budget handle, resolved from `EP2_THREADS` (or the deprecated
-/// `EP2_NUM_THREADS` alias) or the available CPUs when no handle is set.
+/// active budget handle, resolved from `EP2_THREADS` or the available
+/// CPUs when no handle is set.
 pub fn num_threads() -> usize {
     ep2_runtime::current_threads()
 }

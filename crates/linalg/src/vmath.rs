@@ -52,8 +52,8 @@
 //!
 //! Setting `EP2_PRECISE_MATH=1` routes [`VMath::exp1`] and [`VMath::vexp`]
 //! to libm for A/B debugging of the polynomial path. The switch is read
-//! once per process and applies to fused and two-pass assembly alike, so
-//! the bit-for-bit `fused_parity` contract holds in either mode.
+//! once per process, so every assembly in a run uses the same `exp`; the
+//! `assembly_parity` thread-budget contract holds in either mode.
 
 use crate::scalar::Scalar;
 use std::sync::atomic::{AtomicU8, Ordering};

@@ -8,9 +8,8 @@
 //!
 //! The pieces:
 //!
-//! - **Budget resolution** ([`configured_threads`]): `EP2_THREADS` (or the
-//!   deprecated `EP2_NUM_THREADS` alias), falling back to the machine's
-//!   available parallelism. Read once per process.
+//! - **Budget resolution** ([`configured_threads`]): `EP2_THREADS`, falling
+//!   back to the machine's available parallelism. Read once per process.
 //! - **Budget handles** ([`with_budget`], [`current_threads`]): a
 //!   thread-scoped override that callers use to *partition* the budget —
 //!   e.g. the streamed trainer gives each tile-assembly producer
@@ -47,23 +46,19 @@ use std::cell::Cell;
 use std::sync::OnceLock;
 
 /// Resolves the process-wide thread budget: `EP2_THREADS` if set (≥ 1),
-/// else the deprecated `EP2_NUM_THREADS` alias, else the machine's
-/// available parallelism. Cached after the first call.
+/// else the machine's available parallelism. Cached after the first call.
 pub fn configured_threads() -> usize {
     static N: OnceLock<usize> = OnceLock::new();
     *N.get_or_init(|| {
-        for key in ["EP2_THREADS", "EP2_NUM_THREADS"] {
-            if let Ok(v) = std::env::var(key) {
-                if let Ok(n) = v.parse::<usize>() {
-                    if n >= 1 {
-                        return n;
-                    }
-                }
-            }
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+        std::env::var("EP2_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&n| n >= 1)
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+            })
     })
 }
 

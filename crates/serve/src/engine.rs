@@ -8,19 +8,22 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use ep2_core::{KernelModel, PredictBuffers};
 use ep2_device::{MemoryError, MemoryLedger};
 use ep2_linalg::{Matrix, Scalar};
-use parking_lot::Mutex;
-use std::sync::Condvar;
 
 use crate::admission::{AdmissionController, Shed};
 use crate::batch::MicroBatcher;
 use crate::metrics::percentile_us;
 use crate::plan::ServePlan;
+
+/// Locks `m`, recovering the guard if a panicking holder poisoned it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// One queued prediction request; pooled and recycled by the engine.
 #[derive(Debug)]
@@ -90,10 +93,9 @@ pub struct ServeEngine<S: Scalar> {
     model: Arc<KernelModel<S>>,
     plan: ServePlan,
     batcher: MicroBatcher,
-    // The queue pairs a *std* mutex with its condvar (the vendored
-    // parking_lot stand-in has no Condvar); poisoning is recovered in
-    // `lock_queue` to keep parking_lot's panic-free semantics.
-    queue: std::sync::Mutex<QueueState<S>>,
+    // Poisoned locks are recovered (see `lock`): a worker panic is
+    // absorbed mid-batch, and the shared state must stay usable after it.
+    queue: Mutex<QueueState<S>>,
     work_ready: Condvar,
     admission: Mutex<AdmissionController>,
     stats: Mutex<ServeStats>,
@@ -123,7 +125,7 @@ impl<S: Scalar> ServeEngine<S> {
             model,
             plan,
             batcher,
-            queue: std::sync::Mutex::new(QueueState::default()),
+            queue: Mutex::new(QueueState::default()),
             work_ready: Condvar::new(),
             admission: Mutex::new(admission),
             stats: Mutex::new(ServeStats::default()),
@@ -149,13 +151,9 @@ impl<S: Scalar> ServeEngine<S> {
         self.start.elapsed().as_micros() as u64
     }
 
-    fn lock_queue(&self) -> std::sync::MutexGuard<'_, QueueState<S>> {
-        self.queue.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     /// Snapshot of the counters and latency samples.
     pub fn stats(&self) -> ServeStats {
-        self.stats.lock().clone()
+        lock(&self.stats).clone()
     }
 
     /// Submits a prediction request, subject to admission control.
@@ -177,10 +175,10 @@ impl<S: Scalar> ServeEngine<S> {
             self.model.dim(),
             "serve: feature dim mismatch"
         );
-        let mut q = self.lock_queue();
-        if let Err(shed) = self.admission.lock().admit(q.pending.len()) {
+        let mut q = lock(&self.queue);
+        if let Err(shed) = lock(&self.admission).admit(q.pending.len()) {
             drop(q);
-            self.stats.lock().shed += 1;
+            lock(&self.stats).shed += 1;
             return Err(shed);
         }
         let mut req = q.pool.pop().unwrap_or_default();
@@ -209,7 +207,7 @@ impl<S: Scalar> ServeEngine<S> {
             // block on the condvar and would otherwise never be joined.
             let result = catch_unwind(AssertUnwindSafe(driver));
             {
-                let mut q = self.lock_queue();
+                let mut q = lock(&self.queue);
                 q.closed = true;
             }
             self.work_ready.notify_all();
@@ -228,7 +226,7 @@ impl<S: Scalar> ServeEngine<S> {
         let mut out: Matrix<S> = Matrix::zeros(1, 1);
         loop {
             {
-                let mut q = self.lock_queue();
+                let mut q = lock(&self.queue);
                 let take = loop {
                     let now = self.now_us();
                     let oldest = q.pending.front().map(|r| r.enq_us);
@@ -276,7 +274,7 @@ impl<S: Scalar> ServeEngine<S> {
         }
         out.resize(rows, l);
         let seq = {
-            let mut st = self.stats.lock();
+            let mut st = lock(&self.stats);
             st.batches += 1;
             st.batches
         };
@@ -295,17 +293,17 @@ impl<S: Scalar> ServeEngine<S> {
         match executed {
             Ok(()) => {
                 self.consecutive_recoveries.store(0, Ordering::Relaxed);
-                self.admission.lock().observe_batch(rows, elapsed);
+                lock(&self.admission).observe_batch(rows, elapsed);
                 let now = self.now_us();
                 for (i, req) in batch.iter().enumerate() {
                     sink(&req.id, out.row(i));
                 }
-                let mut st = self.stats.lock();
+                let mut st = lock(&self.stats);
                 st.served += rows as u64;
                 st.latencies_us
                     .extend(batch.iter().map(|r| now.saturating_sub(r.enq_us)));
                 drop(st);
-                let mut q = self.lock_queue();
+                let mut q = lock(&self.queue);
                 for mut req in batch.drain(..) {
                     req.features.clear();
                     q.pool.push(req);
@@ -320,12 +318,12 @@ impl<S: Scalar> ServeEngine<S> {
                 if streak > MAX_CONSECUTIVE_RECOVERIES {
                     // Release the other workers before dying so the scope
                     // join cannot deadlock on the condvar.
-                    self.lock_queue().closed = true;
+                    lock(&self.queue).closed = true;
                     self.work_ready.notify_all();
                     std::panic::resume_unwind(payload);
                 }
-                self.stats.lock().recoveries += 1;
-                let mut q = self.lock_queue();
+                lock(&self.stats).recoveries += 1;
+                let mut q = lock(&self.queue);
                 for req in batch.drain(..).rev() {
                     q.pending.push_front(req);
                 }

@@ -25,9 +25,9 @@
 //! with offline prediction.
 
 use std::io::{BufRead, Write};
+use std::sync::{Mutex, PoisonError};
 
 use ep2_linalg::Scalar;
-use parking_lot::Mutex;
 
 use crate::engine::ServeEngine;
 
@@ -72,10 +72,13 @@ pub fn serve_lines<S: Scalar>(
     writer: impl Write + Send,
 ) -> std::io::Result<u64> {
     let out = Mutex::new(writer);
+    // A worker that panics mid-write poisons the writer; later responses
+    // still go out.
+    let lock = || out.lock().unwrap_or_else(PoisonError::into_inner);
     let sink = |id: &str, row: &[S]| {
         let mut line = String::with_capacity(32);
         format_row(&mut line, row);
-        let mut w = out.lock();
+        let mut w = lock();
         // A broken client pipe must not kill the worker; drop the reply.
         let _ = writeln!(w, "ok {id} {line}");
         let _ = w.flush();
@@ -98,7 +101,7 @@ pub fn serve_lines<S: Scalar>(
                     let id = parts.next().unwrap_or("");
                     let payload = parts.next().unwrap_or("");
                     if id.is_empty() || payload.is_empty() {
-                        let mut w = out.lock();
+                        let mut w = lock();
                         writeln!(w, "err - usage: predict <id> <v1,v2,...>")?;
                         w.flush()?;
                         continue;
@@ -106,26 +109,26 @@ pub fn serve_lines<S: Scalar>(
                     match parse_features::<S>(payload, dim, &mut features) {
                         Ok(()) => {
                             if let Err(shed) = engine.submit(id, &features) {
-                                let mut w = out.lock();
+                                let mut w = lock();
                                 writeln!(w, "busy {id} {} {}", shed.est_wait_us, shed.budget_us)?;
                                 w.flush()?;
                             }
                         }
                         Err(msg) => {
-                            let mut w = out.lock();
+                            let mut w = lock();
                             writeln!(w, "err {id} {msg}")?;
                             w.flush()?;
                         }
                     }
                 }
                 "ping" => {
-                    let mut w = out.lock();
+                    let mut w = lock();
                     writeln!(w, "pong")?;
                     w.flush()?;
                 }
                 "stats" => {
                     let st = engine.stats();
-                    let mut w = out.lock();
+                    let mut w = lock();
                     writeln!(
                         w,
                         "stats served={} shed={} batches={} recoveries={} p50_us={} p99_us={}",
@@ -140,7 +143,7 @@ pub fn serve_lines<S: Scalar>(
                 }
                 "shutdown" => break,
                 other => {
-                    let mut w = out.lock();
+                    let mut w = lock();
                     writeln!(w, "err - unknown command {other:?}")?;
                     w.flush()?;
                 }
@@ -148,7 +151,7 @@ pub fn serve_lines<S: Scalar>(
         }
         Ok(handled)
     })?;
-    let mut w = out.lock();
+    let mut w = lock();
     let _ = writeln!(w, "bye");
     let _ = w.flush();
     Ok(result)

@@ -40,19 +40,3 @@ mod ring;
 pub use pipeline::{StreamEngine, TileStream};
 pub use plan::BlockPlan;
 pub use ring::{TileGuard, TileRing};
-
-/// Deprecated `EP2_STREAM_PRODUCERS` override of the producer count.
-///
-/// The producer count is **planned**, not env-guessed: the overlap model
-/// (`ep2_device::cost::partition_stream_threads`) splits the runtime's
-/// thread budget between tile assembly and the update GEMM, and
-/// `TrainConfig::stream_producers` / the `--producers` CLI flag pin it
-/// explicitly. The env var is honoured only as a legacy override beneath
-/// those (explicit config > env > planned) and will be removed.
-pub fn producer_override() -> Option<usize> {
-    let v = std::env::var("EP2_STREAM_PRODUCERS").ok()?;
-    match v.parse::<usize>() {
-        Ok(n) if n >= 1 => Some(n),
-        _ => None,
-    }
-}

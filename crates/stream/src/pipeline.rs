@@ -1,6 +1,12 @@
 //! The producer/consumer pipeline: tile assembly overlapped with the
 //! training update through two bounded channels and a recycled buffer ring.
 //!
+//! Each producer fills a recycled ring buffer with one kernel tile through
+//! `kernels::matrix::kernel_cross_into` — the packed `−2 X Zᵀ` GEMM
+//! straight into the buffer, then the radial-profile pass over it — reusing
+//! the run's cached center norms, so steady-state assembly allocates
+//! nothing beyond the GEMM's packing arenas.
+//!
 //! The pipeline is **self-healing**: every producer runs under a supervisor
 //! that catches its panics, repairs the pipeline's invariants (requeues the
 //! claimed-but-undelivered tile, restores the ring's buffer count), and
@@ -181,7 +187,7 @@ impl<S: Scalar> StreamEngine<S> {
         );
         let ring = TileRing::new(&plan, ledger)?;
         // Producer count from the plan's thread partition (planned by the
-        // overlap model, or pinned by config/CLI/deprecated env var — see
+        // overlap model, or pinned by config/CLI — see
         // `BlockPlan::threads`). More producers than ring-slots-minus-one
         // can deadlock (the consumer may stash up to producers-1
         // out-of-order tiles while the in-order producer still needs a free
@@ -473,7 +479,7 @@ impl<S: Scalar> StreamEngine<S> {
             }
             let Some(seq) = claimed else {
                 // Every tile delivered: hand the buffer back for the
-                // epilogue drain and exit.
+                // end-of-epoch drain and exit.
                 holds_buffer.store(false, Ordering::SeqCst);
                 let _ = empty_tx.send(buf);
                 break;
@@ -502,10 +508,7 @@ impl<S: Scalar> StreamEngine<S> {
             let mut block = Matrix::from_vec(rows, cols, buf);
             // Stage the tile's center slice (the d·n_tile ledger charge the
             // ring slot carries) and assemble through the packed GEMM path,
-            // reusing the cached norms on both sides. `kernel_cross_into`
-            // applies the radial profile (and any bf16 narrowing) in the
-            // GEMM epilogue, so producers fill each tile in one sweep —
-            // no separate element pass over the block.
+            // reusing the cached norms on both sides.
             let tile_centers = self.centers.submatrix(task.col0, 0, cols, d);
             kmat::kernel_cross_into(
                 self.kernel.as_ref(),

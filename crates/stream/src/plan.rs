@@ -30,8 +30,7 @@ pub struct BlockPlan {
     pub precision: Precision,
     /// How the pipeline splits the core budget: producer count plus the
     /// thread-budget handles for each producer's assembly GEMM and the
-    /// consumer's update. Defaulted from the overlap model at construction
-    /// (with the deprecated `EP2_STREAM_PRODUCERS` env override applied);
+    /// consumer's update. Defaulted from the overlap model at construction;
     /// the trainer replaces it with the full-shape partition from
     /// `autotune::plan_streamed` via [`BlockPlan::with_stream_threads`].
     pub threads: StreamThreadPlan,
@@ -160,8 +159,7 @@ impl BlockPlan {
 /// The construction-time thread partition: the overlap model over the
 /// plan's shape (the setup terms are unknown here, so `s = q = 0`; the
 /// trainer refines the partition via [`BlockPlan::with_stream_threads`])
-/// under the runtime's current budget, with the deprecated
-/// `EP2_STREAM_PRODUCERS` env var honoured as a producer override.
+/// under the runtime's current budget.
 fn default_threads(n: usize, d: usize, l: usize, m: usize, n_tile: usize) -> StreamThreadPlan {
     let shape = cost::ProblemShape {
         n,
@@ -171,12 +169,7 @@ fn default_threads(n: usize, d: usize, l: usize, m: usize, n_tile: usize) -> Str
         s: 0,
         q: 0,
     };
-    cost::partition_stream_threads(
-        &shape,
-        n_tile.max(1),
-        ep2_runtime::current_threads(),
-        crate::producer_override(),
-    )
+    cost::partition_stream_threads(&shape, n_tile.max(1), ep2_runtime::current_threads(), None)
 }
 
 #[cfg(test)]

@@ -244,3 +244,18 @@ fn crc32_check_value() {
     // The IEEE 802.3 check value every CRC-32 implementation must hit.
     assert_eq!(persist::crc32(b"123456789"), 0xCBF4_3926);
 }
+
+#[test]
+fn ep2m_layout_is_byte_stable() {
+    // Pins the exact EP2M bytes of the fixture: length plus the crc32 of
+    // everything before the trailer (the crc32 of a whole valid file is
+    // the CRC-32 residue, the same for every file, so it pins nothing).
+    // Any change to field order, width, endianness or flags moves these.
+    let (m, _, with_state) = fixture();
+    let plain = persist::to_bytes(&m).expect("serialization succeeds");
+    let body_crc = |b: &[u8]| persist::crc32(&b[..b.len() - 4]);
+    assert_eq!(plain.len(), 151);
+    assert_eq!(body_crc(&plain), 0x9406_9A7C);
+    assert_eq!(with_state.len(), 346);
+    assert_eq!(body_crc(&with_state), 0x2D84_B4FD);
+}

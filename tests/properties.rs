@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use eigenpro2::core::{critical, Preconditioner};
-use eigenpro2::device::{batch, ResourceSpec};
+use eigenpro2::device::{batch, cost, Precision, ResourceSpec};
 use eigenpro2::kernels::{matrix as kmat, GaussianKernel, Kernel, KernelKind, LaplacianKernel};
 use eigenpro2::linalg::{blas, cholesky::CholeskyFactor, eigen, ops, Matrix};
 use proptest::prelude::*;
@@ -122,6 +122,38 @@ proptest! {
             let plan = batch::max_batch(&spec, n, d, l);
             prop_assert!(plan.batch >= 1 && plan.batch <= n);
             prop_assert!(plan.batch <= plan.capacity_batch.max(1));
+        }
+    }
+
+    /// An explicit producer count is honoured verbatim at every thread
+    /// budget — by the thread partition and by the ring the streamed
+    /// planner sizes for it — so the same `--producers` runs the same
+    /// pipeline on any machine.
+    #[test]
+    fn producer_override_is_budget_invariant(
+        n in 1_000_usize..200_000,
+        m in 1_usize..2_048,
+        d in 1_usize..1_024,
+        l in 1_usize..200,
+        n_tile in 1_usize..4_096,
+        p in 1_usize..17,
+    ) {
+        let shape = cost::ProblemShape { n, m, d, l, s: 500, q: 40 };
+        let spec = ResourceSpec::scaled_virtual_gpu();
+        let planned = |total| {
+            batch::max_batch_streamed_planned(&spec, n, d, l, Precision::F32, None, Some(p), total)
+                .map(|sp| (sp.m, sp.n_tile, sp.tiles_in_flight))
+                .ok()
+        };
+        let reference = planned(1);
+        for total in 1..=8 {
+            let tp = cost::partition_stream_threads(&shape, n_tile, total, Some(p));
+            prop_assert_eq!(tp.producers, p, "total = {}", total);
+            prop_assert!(tp.producer_threads >= 1 && tp.update_threads >= 1);
+            prop_assert_eq!(planned(total), reference, "total = {}", total);
+        }
+        if let Some((_, _, tiles_in_flight)) = reference {
+            prop_assert!(tiles_in_flight > p);
         }
     }
 
