@@ -14,34 +14,38 @@
 //! 5. the device owning the Nyström block applies the preconditioner
 //!    correction and broadcasts the `s·l` fixed-block delta.
 //!
-//! The arithmetic is *identical* to single-device EigenPro 2.0 (verified in
-//! tests to fp-reordering tolerance), so all of the paper's analysis — and
-//! the adaptive kernel construction, now targeting the aggregate capacity
-//! `g·C_G` — carries over. What changes is the clock: compute shrinks by
-//! `g`, communication grows with `g`, and the crossover defines the useful
-//! cluster size.
+//! Steps 2–5 are not re-implemented here: each shard's kernel block is one
+//! column tile fed to [`EigenProIteration::step_streamed`], the same tile
+//! body the in-core and out-of-core trainers run. The arithmetic is
+//! therefore single-device EigenPro 2.0's (bit-for-bit at `g = 1`, to the
+//! fp reordering of the prediction sum otherwise), so all of the paper's
+//! analysis — and the adaptive kernel construction, now targeting the
+//! aggregate capacity `g·C_G` — carries over. What changes is the clock:
+//! compute shrinks by `g`, communication grows with `g`, and the crossover
+//! defines the useful cluster size.
 
 use ep2_device::{ClusterSpec, DeviceMode};
-use ep2_linalg::{blas, Matrix};
+use ep2_linalg::Matrix;
+use ep2_stream::TileGuard;
 
 use crate::counter::FlopCounter;
+use crate::iteration::EigenProIteration;
 use crate::model::KernelModel;
 use crate::precond::Preconditioner;
 
 /// One sharded training iteration driver.
 ///
-/// Weights live in a single global matrix (the shards' weight slices are
-/// disjoint row ranges), so convergence behaviour and final models are
-/// directly comparable with [`crate::iteration::EigenProIteration`].
+/// The arithmetic is [`EigenProIteration`]'s: each shard's `m x (n/g)`
+/// kernel block is one column tile of the batch block, so weights live in
+/// a single global matrix (the shards' weight slices are disjoint row
+/// ranges) and final models are directly comparable with single-device
+/// training. This type adds only the shard layout and the cluster clock.
 #[derive(Debug)]
 pub struct DistributedEigenProIteration {
-    model: KernelModel,
-    precond: Option<Preconditioner>,
+    iter: EigenProIteration,
     cluster: ClusterSpec,
     mode: DeviceMode,
-    eta: f64,
     shard_bounds: Vec<usize>,
-    counter: FlopCounter,
     simulated_seconds: f64,
 }
 
@@ -59,34 +63,27 @@ impl DistributedEigenProIteration {
         mode: DeviceMode,
         eta: f64,
     ) -> Self {
-        assert!(eta > 0.0 && eta.is_finite(), "step size must be positive");
         let n = model.n_centers();
         let g = cluster.n_devices;
         let per = n.div_ceil(g);
-        let mut shard_bounds = Vec::with_capacity(g + 1);
-        for i in 0..=g {
-            shard_bounds.push((i * per).min(n));
-        }
+        let shard_bounds = (0..=g).map(|i| (i * per).min(n)).collect();
         DistributedEigenProIteration {
-            model,
-            precond,
+            iter: EigenProIteration::new(model, precond, eta),
             cluster,
             mode,
-            eta,
             shard_bounds,
-            counter: FlopCounter::new(),
             simulated_seconds: 0.0,
         }
     }
 
     /// The model being trained.
     pub fn model(&self) -> &KernelModel {
-        &self.model
+        self.iter.model()
     }
 
     /// Consumes the driver, returning the trained model.
     pub fn into_model(self) -> KernelModel {
-        self.model
+        self.iter.into_model()
     }
 
     /// Simulated cluster seconds accumulated so far.
@@ -96,7 +93,7 @@ impl DistributedEigenProIteration {
 
     /// Operation counter (per-device ops are `total / g` under even shards).
     pub fn counter(&self) -> &FlopCounter {
-        &self.counter
+        self.iter.counter()
     }
 
     /// Shard boundary indices (`g + 1` entries; shard `i` owns rows
@@ -112,92 +109,39 @@ impl DistributedEigenProIteration {
     ///
     /// Panics if any batch index is out of range or `y` has wrong shape.
     pub fn step(&mut self, batch_indices: &[usize], y: &Matrix) -> f64 {
-        let n = self.model.n_centers();
-        let d = self.model.dim();
-        let l = self.model.n_outputs();
-        assert_eq!(y.rows(), n, "targets must cover all centers");
-        assert_eq!(y.cols(), l, "target width mismatch");
+        let model = self.iter.model();
+        let (n, d, l) = (model.n_centers(), model.dim(), model.n_outputs());
         let m = batch_indices.len();
         assert!(m > 0, "empty mini-batch");
-        let g = self.cluster.n_devices;
 
-        let batch_x = self.model.centers().select_rows(batch_indices);
-
-        // Per-shard partial predictions, summed (the all-reduce).
-        let mut f = Matrix::zeros(m, l);
-        let mut shard_blocks: Vec<Matrix> = Vec::with_capacity(g);
-        for s in 0..g {
-            let (lo, hi) = (self.shard_bounds[s], self.shard_bounds[s + 1]);
-            if lo == hi {
-                shard_blocks.push(Matrix::zeros(m, 0));
-                continue;
-            }
-            let shard_centers = self.model.centers().submatrix(lo, 0, hi - lo, d);
-            let k_block = ep2_kernels::matrix::kernel_cross(
-                self.model.kernel().as_ref(),
-                &batch_x,
-                &shard_centers,
-            );
-            let shard_weights = self.model.weights().submatrix(lo, 0, hi - lo, l);
-            blas::gemm(1.0, &k_block, &shard_weights, 1.0, &mut f);
-            shard_blocks.push(k_block);
-        }
-
-        // Residual and batch-coordinate updates (local to each shard).
-        let mut resid = f;
-        for (bi, &idx) in batch_indices.iter().enumerate() {
-            for (c, v) in resid.row_mut(bi).iter_mut().enumerate() {
-                *v -= y[(idx, c)];
-            }
-        }
-        let scale = self.eta * 2.0 / m as f64;
-        for (bi, &idx) in batch_indices.iter().enumerate() {
-            let r = resid.row(bi).to_vec();
-            let w_row = self.model.weights_mut().row_mut(idx);
-            for (w, rv) in w_row.iter_mut().zip(r) {
-                *w -= scale * rv;
-            }
-        }
-
-        let sgd_ops = (n * m * (d + l)) as f64;
-        let mut precond_ops = 0.0;
-        let mut precond_comm = 0.0;
-        if let Some(precond) = &self.precond {
-            let s_len = precond.s();
-            // Gather Φ columns from whichever shard owns each subsample
-            // center.
-            let mut phi = Matrix::zeros(m, s_len);
-            for (j, &global) in precond.subsample_indices().iter().enumerate() {
-                let shard = self
-                    .shard_bounds
-                    .partition_point(|&b| b <= global)
-                    .saturating_sub(1);
-                let local = global - self.shard_bounds[shard];
-                let block = &shard_blocks[shard];
-                for bi in 0..m {
-                    phi[(bi, j)] = block[(bi, local)];
-                }
-            }
-            let correction = precond.apply_correction(&phi, &resid);
-            precond_ops = precond.correction_ops(m, l);
-            precond_comm = (s_len * l) as f64;
-            for (j, &idx) in precond.subsample_indices().iter().enumerate() {
-                let c_row = correction.row(j);
-                let w_row = self.model.weights_mut().row_mut(idx);
-                for (w, &cv) in w_row.iter_mut().zip(c_row) {
-                    *w += scale * cv;
-                }
-            }
-        }
-
-        self.counter.record(sgd_ops, precond_ops);
+        // Each device assembles its shard's kernel block against the
+        // broadcast batch; the tile body sums the partial predictions (the
+        // all-reduce) and gathers Φ from whichever shard owns each
+        // subsample center.
+        let kernel = model.kernel().clone();
+        let centers = model.centers_shared();
+        let batch_x = centers.select_rows(batch_indices);
+        let shards = self.shard_bounds.windows(2).filter(|b| b[0] < b[1]);
+        let tiles = shards.map(|b| {
+            let shard_centers = centers.submatrix(b[0], 0, b[1] - b[0], d);
+            let block =
+                ep2_kernels::matrix::kernel_cross(kernel.as_ref(), &batch_x, &shard_centers);
+            TileGuard::detached(b[0], block)
+        });
+        self.iter.step_streamed(batch_indices, y, tiles);
 
         // Cluster clock: compute on n/g-center shards + batch broadcast +
-        // prediction all-reduce + fixed-block broadcast.
+        // prediction all-reduce + fixed-block delta broadcast.
         let mut t = self.cluster.iteration_time(self.mode, n, m, d, l);
-        if precond_ops > 0.0 {
-            t += ep2_device::timing::iteration_time(&self.cluster.device, self.mode, precond_ops)
-                + self.cluster.broadcast_time(precond_comm);
+        if let Some(precond) = self.iter.precond() {
+            let precond_ops = precond.correction_ops(m, l);
+            if precond_ops > 0.0 {
+                t += ep2_device::timing::iteration_time(
+                    &self.cluster.device,
+                    self.mode,
+                    precond_ops,
+                ) + self.cluster.broadcast_time((precond.s() * l) as f64);
+            }
         }
         self.simulated_seconds += t;
         t
@@ -248,6 +192,10 @@ mod tests {
             dist.step(&batch, &y);
             let a = single.model().weights().as_slice();
             let b = dist.model().weights().as_slice();
+            if g == 1 {
+                // One shard is one full-width tile: the in-core step exactly.
+                assert_eq!(a, b, "g = 1 must be bit-for-bit single-device");
+            }
             let max_diff = a
                 .iter()
                 .zip(b)

@@ -14,23 +14,31 @@
 //! kernel SGD (randomized coordinate descent for `Kα = y`), which is how
 //! the SGD baseline and Figure-2/3 comparisons run on identical code paths.
 //!
+//! The iteration is written once, in [`EigenProIteration::step_streamed`],
+//! over the `m x n` kernel block delivered as column tiles. The in-core
+//! [`EigenProIteration::step`] is a one-tile stream, the out-of-core
+//! trainer feeds it the streaming engine's ring tiles, and
+//! [`crate::distributed`] feeds it one tile per device shard.
+//!
 //! Every dense product in the step — the `m x n` kernel-block assembly
-//! (`gemm_nt` cross-term), the prediction `gemm`, and the correction's
-//! `gemm`/`gemm_tn` — runs on `ep2_linalg`'s packed register-blocked engine,
-//! so per-iteration wall time tracks the `2·m·n·(d+l)` operation count the
-//! simulated clock prices (see `BENCH_gemm.json`).
+//! (`gemm_nt` cross-term), the prediction `gemm` (reading `α`'s tile rows
+//! in place), and the correction's `gemm`/`gemm_tn` — runs on
+//! `ep2_linalg`'s packed register-blocked engine, so per-iteration wall
+//! time tracks the `2·m·n·(d+l)` operation count the simulated clock
+//! prices (see `BENCH_gemm.json`).
 
-use ep2_linalg::{blas, Matrix, Scalar};
+use ep2_linalg::{Matrix, Scalar};
+use ep2_stream::TileGuard;
 
 use crate::counter::FlopCounter;
+use crate::model::KernelModel;
+use crate::precond::Preconditioner;
 
 /// Widens the `m x l` residual into the compute precision (borrow-free: it
 /// is a tiny matrix, copied once per step only when preconditioning).
 fn widen_residual<S: Scalar>(g: &Matrix<S>) -> Matrix<S::Compute> {
     Matrix::from_fn(g.rows(), g.cols(), |i, j| g[(i, j)].compute())
 }
-use crate::model::KernelModel;
-use crate::precond::Preconditioner;
 
 /// One training-iteration driver over a [`KernelModel`] whose centers are
 /// the training set, generic over the numeric precision `S`.
@@ -117,9 +125,16 @@ impl<S: Scalar> EigenProIteration<S> {
         &mut self.counter
     }
 
+    /// The preconditioner, if any (at the GEMM compute precision).
+    pub fn precond(&self) -> Option<&Preconditioner<S::Compute>> {
+        self.precond.as_ref()
+    }
+
     /// Executes one iteration of Algorithm 1 on the mini-batch given by
     /// `batch_indices` (rows into the training set/centers), with targets
-    /// `y` (`n x l`, the full target matrix).
+    /// `y` (`n x l`, the full target matrix): assembles the whole `m x n`
+    /// kernel block and runs it through [`EigenProIteration::step_streamed`]
+    /// as a single tile.
     ///
     /// Returns the operation count of this iteration (for the simulated
     /// clock).
@@ -128,41 +143,21 @@ impl<S: Scalar> EigenProIteration<S> {
     ///
     /// Panics if any batch index is out of range or `y` has wrong shape.
     pub fn step(&mut self, batch_indices: &[usize], y: &Matrix<S>) -> f64 {
-        let m = batch_indices.len();
-        assert!(m > 0, "empty mini-batch");
-
-        // Step 2: predictions on the mini-batch. Assemble the m x n kernel
-        // block once; its subsample columns double as the feature map Φ.
+        assert!(!batch_indices.is_empty(), "empty mini-batch");
         let batch_x = self.model.centers().select_rows(batch_indices);
         let k_block = ep2_kernels::matrix::kernel_cross(
             self.model.kernel().as_ref(),
             &batch_x,
             self.model.centers(),
         );
-        let f = self.model.predict_from_kernel_block(&k_block);
-
-        // Φ: gather the subsample columns of the batch kernel block
-        // (k(x_r_j, x_t_i) already computed in Step 2), widened to the
-        // compute precision the preconditioner operates at.
-        let phi = self.precond.as_ref().map(|precond| {
-            let sub_idx = precond.subsample_indices();
-            let mut phi: Matrix<S::Compute> = Matrix::zeros(m, precond.s());
-            for bi in 0..m {
-                let src = k_block.row(bi);
-                let dst = phi.row_mut(bi);
-                for (j, &cj) in sub_idx.iter().enumerate() {
-                    dst[j] = src[cj].compute();
-                }
-            }
-            phi
-        });
-        self.finish_step(batch_indices, y, f, phi)
+        self.step_streamed(batch_indices, y, [TileGuard::detached(0, k_block)])
     }
 
-    /// The streamed (out-of-core) variant of [`EigenProIteration::step`]:
-    /// instead of one resident `m x n` kernel block, the block arrives as a
-    /// sequence of column tiles (the [`ep2_stream::TileGuard`]s a
-    /// [`ep2_stream::StreamEngine`] delivers). Tiles must arrive in column
+    /// Algorithm 1's iteration over the `m x n` mini-batch kernel block
+    /// delivered as a sequence of column tiles — the one implementation
+    /// behind the in-core step (a single tile), the out-of-core step (the
+    /// [`TileGuard`]s a [`ep2_stream::StreamEngine`] delivers) and the
+    /// sharded step (one tile per shard). Tiles must arrive in column
     /// order and cover all `n` centers exactly once; each tile contributes
     /// its slice of the prediction (`f += K_tile · α[tile]`) and of the
     /// feature map `Φ`, and its ring buffer recycles as soon as the guard
@@ -170,7 +165,7 @@ impl<S: Scalar> EigenProIteration<S> {
     /// of the next tile overlaps this consumer work.
     ///
     /// Returns the operation count of this iteration (for the simulated
-    /// clock); the counted work is identical to the in-core step.
+    /// clock); the counted work does not depend on the tiling.
     ///
     /// # Panics
     ///
@@ -179,19 +174,17 @@ impl<S: Scalar> EigenProIteration<S> {
     /// or `y` has the wrong shape.
     pub fn step_streamed<I>(&mut self, batch_indices: &[usize], y: &Matrix<S>, tiles: I) -> f64
     where
-        I: IntoIterator<Item = ep2_stream::TileGuard<S>>,
+        I: IntoIterator<Item = TileGuard<S>>,
     {
         let n = self.model.n_centers();
         let l = self.model.n_outputs();
+        let d = self.model.dim();
         let m = batch_indices.len();
         assert!(m > 0, "empty mini-batch");
+        assert_eq!(y.rows(), n, "targets must cover all centers");
+        assert_eq!(y.cols(), l, "target width mismatch");
 
         let mut f: Matrix<S> = Matrix::zeros(m, l);
-        let sub_idx = self
-            .precond
-            .as_ref()
-            .map(|p| p.subsample_indices().to_vec())
-            .unwrap_or_default();
         let mut phi: Option<Matrix<S::Compute>> =
             self.precond.as_ref().map(|p| Matrix::zeros(m, p.s()));
         let mut covered = 0usize;
@@ -203,46 +196,29 @@ impl<S: Scalar> EigenProIteration<S> {
             );
             assert_eq!(tile.block().rows(), m, "tile row count != batch size");
             covered = range.end;
-            // f += K_tile · α[range].
-            let w_tile = self
-                .model
-                .weights()
-                .submatrix(range.start, 0, range.len(), l);
-            blas::gemm(S::ONE, tile.block(), &w_tile, S::ONE, &mut f);
-            // Φ columns whose subsample center falls inside this tile.
-            if let Some(phi) = phi.as_mut() {
-                for (j, &cj) in sub_idx.iter().enumerate() {
-                    if range.contains(&cj) {
-                        let local = cj - range.start;
-                        for bi in 0..m {
-                            phi[(bi, j)] = tile.block()[(bi, local)].compute();
-                        }
+            self.model
+                .accumulate_tile(tile.block(), range.start, &mut f);
+            // Φ: the subsample columns (k(x_r_j, x_t_i)) that fall inside
+            // this tile, widened to the preconditioner's precision.
+            if let (Some(phi), Some(precond)) = (phi.as_mut(), &self.precond) {
+                let hits: Vec<(usize, usize)> = precond
+                    .subsample_indices()
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, cj)| range.contains(cj))
+                    .map(|(j, &cj)| (j, cj - range.start))
+                    .collect();
+                for bi in 0..m {
+                    let src = tile.block().row(bi);
+                    let dst = phi.row_mut(bi);
+                    for &(j, local) in &hits {
+                        dst[j] = src[local].compute();
                     }
                 }
             }
             // `tile` drops here: the ring buffer recycles to the producers.
         }
         assert_eq!(covered, n, "tiles must cover all {n} centers");
-        self.finish_step(batch_indices, y, f, phi)
-    }
-
-    /// Steps 2b–5 of Algorithm 1, shared by the in-core and streamed paths:
-    /// given the mini-batch predictions `f` (and the feature map `Φ` when
-    /// preconditioning), form the residual, update the sampled coordinate
-    /// block, apply the preconditioner correction, and account the work.
-    fn finish_step(
-        &mut self,
-        batch_indices: &[usize],
-        y: &Matrix<S>,
-        f: Matrix<S>,
-        phi: Option<Matrix<S::Compute>>,
-    ) -> f64 {
-        let n = self.model.n_centers();
-        let l = self.model.n_outputs();
-        let d = self.model.dim();
-        assert_eq!(y.rows(), n, "targets must cover all centers");
-        assert_eq!(y.cols(), l, "target width mismatch");
-        let m = batch_indices.len();
 
         // Residual G = f − y on the batch.
         let mut g = f;
@@ -462,7 +438,8 @@ mod tests {
 
     /// A streamed step must produce (numerically near-)identical weights to
     /// the in-core step: the only difference is the column order of the
-    /// prediction accumulation.
+    /// prediction accumulation, and a single full-width tile is the in-core
+    /// step bit for bit.
     #[test]
     fn streamed_step_matches_in_core_step() {
         let (x, y, k) = toy_problem(90, 11);
@@ -483,13 +460,18 @@ mod tests {
             let tiles = tiles_for(b.model(), &batch, n_tile);
             let ops_streamed = b.step_streamed(&batch, &y, tiles);
             assert_eq!(ops_in_core, ops_streamed, "identical accounted work");
-            for (u, v) in a
-                .model()
-                .weights()
-                .as_slice()
-                .iter()
-                .zip(b.model().weights().as_slice())
-            {
+            let (wa, wb) = (
+                a.model().weights().as_slice(),
+                b.model().weights().as_slice(),
+            );
+            if n_tile == 90 {
+                // One full-width tile is exactly the in-core step.
+                assert_eq!(
+                    wa, wb,
+                    "tile {n_tile}: one tile must be bit-for-bit in-core"
+                );
+            }
+            for (u, v) in wa.iter().zip(wb) {
                 assert!((u - v).abs() < 1e-12, "tile {n_tile}: {u} vs {v}");
             }
         }

@@ -5,7 +5,8 @@ use std::sync::Arc;
 
 use ep2_device::Precision;
 use ep2_kernels::{matrix as kmat, Kernel, KernelKind};
-use ep2_linalg::{blas, Matrix, Scalar};
+use ep2_linalg::gemm::{self, View};
+use ep2_linalg::{Matrix, Scalar};
 
 /// Default row-block size for prediction: the transient kernel panel stays
 /// below ~`1024 x n` elements unless the caller plans otherwise.
@@ -114,8 +115,11 @@ impl PredictOptions {
 ///
 /// Holds the center-side norm cache (computed once per model, revalidated
 /// by the centers' `Arc` identity), the per-block input norms, the staged
-/// input block, the kernel panel, and the output block. After the first
-/// call at the largest batch shape, subsequent calls allocate nothing.
+/// input block, the staged center tile (column-tiled calls only; full-width
+/// panels read the centers in place), the kernel panel, and the output
+/// block. The weights are read in place. After the first call at the
+/// largest batch shape, subsequent calls allocate nothing — no copy of the
+/// model is taken per call.
 #[derive(Debug)]
 pub struct PredictBuffers<S: Scalar> {
     /// Center-norm cache key: `Arc::as_ptr` of the centers it was built
@@ -124,6 +128,7 @@ pub struct PredictBuffers<S: Scalar> {
     c_sq: Vec<S::Accum>,
     b_sq: Vec<S::Accum>,
     x_block: Matrix<S>,
+    c_tile: Matrix<S>,
     k_tile: Matrix<S>,
     f_block: Matrix<S>,
 }
@@ -142,6 +147,7 @@ impl<S: Scalar> PredictBuffers<S> {
             c_sq: Vec::new(),
             b_sq: Vec::new(),
             x_block: Matrix::zeros(0, 0),
+            c_tile: Matrix::zeros(0, 0),
             k_tile: Matrix::zeros(0, 0),
             f_block: Matrix::zeros(0, 0),
         }
@@ -358,18 +364,27 @@ impl<S: Scalar> KernelModel<S> {
             let mut j0 = 0;
             while j0 < n {
                 let cols = col_tile.min(n - j0);
-                let c_tile = self.centers.submatrix(j0, 0, cols, self.dim());
+                // Full-width panels borrow the centers; narrower tiles
+                // stage their rows into the recycled copy.
+                let c_tile: &Matrix<S> = if cols == n {
+                    &self.centers
+                } else {
+                    bufs.c_tile.resize(cols, self.dim());
+                    bufs.c_tile.as_mut_slice().copy_from_slice(
+                        &self.centers.as_slice()[j0 * self.dim()..(j0 + cols) * self.dim()],
+                    );
+                    &bufs.c_tile
+                };
                 bufs.k_tile.resize(rows, cols);
                 kmat::kernel_cross_into(
                     self.kernel.as_ref(),
                     block,
-                    &c_tile,
+                    c_tile,
                     &bufs.b_sq,
                     &bufs.c_sq[j0..j0 + cols],
                     &mut bufs.k_tile,
                 );
-                let w_tile = self.weights.submatrix(j0, 0, cols, l);
-                blas::gemm(S::ONE, &bufs.k_tile, &w_tile, S::ONE, &mut bufs.f_block);
+                self.accumulate_tile(&bufs.k_tile, j0, &mut bufs.f_block);
                 j0 += cols;
             }
             for i in 0..rows {
@@ -393,8 +408,33 @@ impl<S: Scalar> KernelModel<S> {
             "kernel block width mismatch"
         );
         let mut f = Matrix::zeros(k_block.rows(), self.n_outputs());
-        blas::gemm(S::ONE, k_block, &self.weights, S::ZERO, &mut f);
+        self.accumulate_tile(k_block, 0, &mut f);
         f
+    }
+
+    /// `f += k_tile · α[j0..j0 + k_tile.cols()]` — the one place a kernel
+    /// tile meets the weights, shared by training and prediction. The
+    /// weight rows are a contiguous range of `α`, read in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tile overruns the centers or `f` is not
+    /// `(k_tile.rows(), l)`.
+    pub(crate) fn accumulate_tile(&self, k_tile: &Matrix<S>, j0: usize, f: &mut Matrix<S>) {
+        let (rows, cols) = k_tile.shape();
+        let l = self.n_outputs();
+        assert!(
+            j0 + cols <= self.n_centers(),
+            "kernel tile overruns centers"
+        );
+        assert_eq!(f.shape(), (rows, l), "prediction block shape mismatch");
+        gemm::gemm_auto(
+            S::ONE,
+            View::row_major(k_tile.as_slice(), rows, cols),
+            View::row_major(&self.weights.as_slice()[j0 * l..(j0 + cols) * l], cols, l),
+            S::ONE,
+            f.as_mut_slice(),
+        );
     }
 }
 

@@ -374,6 +374,43 @@ impl EigenPro2 {
         }
     }
 
+    /// Steps 1–2 at precision `P`: [`autotune::plan`] for in-core
+    /// residency, [`autotune::plan_streamed`] under a streamed plan.
+    fn plan_at<P: Scalar>(
+        &self,
+        kernel: &Arc<dyn ep2_kernels::Kernel<P>>,
+        x: &Matrix<P>,
+        n_outputs: usize,
+        splan: Option<&batch::StreamedBatchPlan>,
+    ) -> Planned<P> {
+        let cfg = &self.config;
+        match splan {
+            None => autotune::plan(
+                kernel,
+                x,
+                n_outputs,
+                &self.device,
+                cfg.subsample_size,
+                cfg.q,
+                cfg.batch_size,
+                cfg.precision,
+                cfg.seed,
+            ),
+            Some(splan) => autotune::plan_streamed(
+                kernel,
+                x,
+                n_outputs,
+                &self.device,
+                cfg.subsample_size,
+                cfg.q,
+                splan,
+                cfg.stream_producers,
+                cfg.precision,
+                cfg.seed,
+            ),
+        }
+    }
+
     /// The training loop, monomorphised per precision. `plan_at_f64` is the
     /// `Mixed` policy: Steps 1–2 (subsample eigensolve, β/λ₁ estimation,
     /// analytic η) run at f64 on the f64 data, and only the resulting
@@ -477,74 +514,16 @@ impl EigenPro2 {
         // Steps 1–2 planning, re-callable: the graceful-degradation loop
         // below may re-plan after a mid-setup allocation failure (in-core →
         // streamed residency, or a narrower streamed tile).
-        type Planned<C> = Result<(AutoParams, Option<crate::Preconditioner<C>>), CoreError>;
         let plan_with = |splan: Option<&batch::StreamedBatchPlan>| -> Planned<S::Compute> {
-            Ok(match splan {
-                None => {
-                    if plan_at_f64 {
-                        let kernel64: Arc<dyn ep2_kernels::Kernel> =
-                            cfg.kernel.with_bandwidth(cfg.bandwidth).into();
-                        let (params, precond64) = autotune::plan(
-                            &kernel64,
-                            features,
-                            n_outputs,
-                            &self.device,
-                            cfg.subsample_size,
-                            cfg.q,
-                            cfg.batch_size,
-                            cfg.precision,
-                            cfg.seed,
-                        )?;
-                        (params, precond64.map(|p| p.cast::<S::Compute>()))
-                    } else {
-                        let (params, precond) = autotune::plan(
-                            &kernel,
-                            &centers,
-                            n_outputs,
-                            &self.device,
-                            cfg.subsample_size,
-                            cfg.q,
-                            cfg.batch_size,
-                            cfg.precision,
-                            cfg.seed,
-                        )?;
-                        (params, precond.map(precond_into_compute))
-                    }
-                }
-                Some(splan) => {
-                    if plan_at_f64 {
-                        let kernel64: Arc<dyn ep2_kernels::Kernel> =
-                            cfg.kernel.with_bandwidth(cfg.bandwidth).into();
-                        let (params, precond64) = autotune::plan_streamed(
-                            &kernel64,
-                            features,
-                            n_outputs,
-                            &self.device,
-                            cfg.subsample_size,
-                            cfg.q,
-                            splan,
-                            requested_producers,
-                            cfg.precision,
-                            cfg.seed,
-                        )?;
-                        (params, precond64.map(|p| p.cast::<S::Compute>()))
-                    } else {
-                        let (params, precond) = autotune::plan_streamed(
-                            &kernel,
-                            &centers,
-                            n_outputs,
-                            &self.device,
-                            cfg.subsample_size,
-                            cfg.q,
-                            splan,
-                            requested_producers,
-                            cfg.precision,
-                            cfg.seed,
-                        )?;
-                        (params, precond.map(precond_into_compute))
-                    }
-                }
-            })
+            if plan_at_f64 {
+                let kernel64: Arc<dyn ep2_kernels::Kernel> =
+                    cfg.kernel.with_bandwidth(cfg.bandwidth).into();
+                let (params, precond64) = self.plan_at(&kernel64, features, n_outputs, splan)?;
+                Ok((params, precond64.map(|p| p.cast::<S::Compute>())))
+            } else {
+                let (params, precond) = self.plan_at(&kernel, &centers, n_outputs, splan)?;
+                Ok((params, precond.map(precond_into_compute)))
+            }
         };
         let (mut params, mut precond) = plan_with(stream_plan.as_ref())?;
         // Enforce the Step-1 memory accounting on the device ledger, at the
@@ -963,6 +942,10 @@ impl EigenPro2 {
     }
 }
 
+/// Steps 1–2 output: the analytic parameters and the preconditioner (none
+/// for plain SGD), at precision `C`.
+type Planned<C> = Result<(AutoParams, Option<crate::Preconditioner<C>>), CoreError>;
+
 /// The per-epoch execution strategy, carrying the residency reservation it
 /// runs under (the RAII guard lives exactly as long as training does).
 enum Executor<S: Scalar> {
@@ -1124,23 +1107,7 @@ fn plan_fingerprint(
 /// `write(2)` before the atomic rename, or bit rot — are skipped with a
 /// warning, so recovery lands on the last *good* checkpoint.
 fn latest_valid_checkpoint(dir: &Path) -> Option<(PathBuf, persist::AnyModel, TrainerState)> {
-    let mut found: Vec<(u64, PathBuf)> = Vec::new();
-    for entry in std::fs::read_dir(dir).ok()?.flatten() {
-        let path = entry.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        let Some(epoch) = name
-            .strip_prefix("ckpt-")
-            .and_then(|rest| rest.strip_suffix(".ep2"))
-            .and_then(|digits| digits.parse::<u64>().ok())
-        else {
-            continue;
-        };
-        found.push((epoch, path));
-    }
-    found.sort_by_key(|&(epoch, _)| std::cmp::Reverse(epoch));
-    for (_, path) in found {
+    for (_, path) in checkpoint_files(dir).into_iter().rev() {
         match persist::load_any_with_state(&path) {
             Ok((model, Some(state))) => return Some((path, model, state)),
             Ok((_, None)) => {
@@ -1678,6 +1645,13 @@ mod tests {
         );
         // Streaming holds strictly less resident memory.
         assert!(streamed.report.peak_slots < incore.report.peak_slots);
+        // A one-tile stream is the in-core step: bit-for-bit weights.
+        let one_tile = run(Some(ResidencyMode::Streamed), Some(train.len()));
+        assert_eq!(one_tile.report.residency, ResidencyMode::Streamed);
+        assert_eq!(
+            one_tile.model.weights().as_slice(),
+            incore.model.weights().as_slice()
+        );
     }
 
     #[test]

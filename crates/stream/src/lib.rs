@@ -28,7 +28,11 @@
 //!   tile `t`.
 //!
 //! The consumer side (the preconditioned-SGD update) lives in `ep2-core`
-//! (`EigenProIteration::step_streamed`), which depends on this crate.
+//! (`EigenProIteration::step_streamed`), which depends on this crate. It
+//! is the only implementation of Algorithm 1's iteration: the in-core step
+//! feeds it one [`TileGuard::detached`] full-width tile and the sharded
+//! driver one detached tile per shard, so every residency runs the same
+//! consumer code.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
