@@ -1,13 +1,10 @@
 //! Subcommand implementations for the `ep2` binary.
 
-use std::sync::Arc;
-
-use ep2_core::autotune;
 use ep2_core::trainer::{EarlyStopping, EigenPro2, TrainConfig};
 use ep2_core::PredictOptions;
 use ep2_data::{catalog, Dataset};
-use ep2_device::{batch, DeviceMode, Precision, ResidencyMode, ResourceSpec};
-use ep2_kernels::{Kernel, KernelKind};
+use ep2_device::{DeviceMode, Precision, ResidencyMode, ResourceSpec};
+use ep2_kernels::KernelKind;
 
 use crate::args::Parsed;
 
@@ -18,7 +15,8 @@ usage: ep2 <command> [options]
 commands:
   devices                         list device presets
   datasets                        list synthetic dataset clones
-  plan     compute the analytic parameters (Table-4 row) for a dataset
+  plan     preview what `train` with the same flags runs: the analytic
+           parameters (Table-4 row), residency and streamed tiling
   train    train EigenPro 2.0 and report per-epoch metrics
   eval     evaluate a saved model on a dataset split
   inspect  print the header, dims, checksum status, and embedded trainer
@@ -61,7 +59,8 @@ plan/train options:
                       of the EP2_THREADS budget between assembly and the
                       update GEMM)
   --epochs <int>      epoch cap for train            (default 10)
-  --test-frac <f64>   held-out fraction for train    (default 0.2)
+  --test-frac <f64>   held-out fraction; plan previews the training
+                      split                          (default 0.2)
   --no-early-stop     disable validation early stopping
   --save <path>       write the trained model (EP2M binary format)
 
@@ -119,7 +118,7 @@ pub fn run(parsed: &Parsed) -> Result<(), String> {
         }
         "devices" => devices(),
         "datasets" => datasets(),
-        "plan" => plan(parsed),
+        "plan" => plan_report(parsed).map(|text| print!("{text}")),
         "train" => train(parsed),
         "eval" => eval_model(parsed),
         "inspect" => inspect_model(parsed),
@@ -218,142 +217,67 @@ fn load_precision(parsed: &Parsed) -> Result<Precision, String> {
     }
 }
 
-/// The `--producers` override (`None` = the planned producer count).
-fn resolve_producers(parsed: &Parsed) -> Result<Option<usize>, String> {
-    match parsed.get_opt::<usize>("producers")? {
-        Some(0) => Err("--producers must be positive".to_string()),
-        p => Ok(p),
-    }
-}
-
-fn load_kernel_kind(parsed: &Parsed) -> Result<KernelKind, String> {
-    let name = parsed
-        .options
-        .get("kernel")
-        .map(String::as_str)
-        .unwrap_or("gaussian");
-    KernelKind::parse(name).ok_or_else(|| format!("unknown kernel {name}"))
-}
-
-fn plan(parsed: &Parsed) -> Result<(), String> {
-    let dataset = load_dataset(parsed)?;
+/// The `ep2 plan` text: the plan `ep2 train` with the same flags executes,
+/// resolved by the trainer itself on the same training split.
+fn plan_report(parsed: &Parsed) -> Result<String, String> {
+    let (train_set, test_set) = load_split(parsed)?;
     let device = load_device(parsed)?;
-    let kind = load_kernel_kind(parsed)?;
-    let sigma: f64 = parsed.get_or("sigma", 5.0)?;
-    let seed: u64 = parsed.get_or("seed", 0)?;
-    let precision = load_precision(parsed)?;
-    let kernel: Arc<dyn Kernel> = kind.with_bandwidth(sigma).into();
-    let (n, d, l) = (dataset.len(), dataset.dim(), dataset.n_classes);
-    let streamed = parsed.flag("out-of-core") || !batch::fits_in_core(&device, n, d, l, precision);
-    let producers_override = resolve_producers(parsed)?;
-    let stream_plan = if streamed {
-        // The same ring-sizing entry point the trainer uses
-        // (`max_batch_streamed_planned`), so `plan` previews exactly the
-        // tiling `train` executes.
-        Some(
-            batch::max_batch_streamed_planned(
-                &device,
-                n,
-                d,
-                l,
-                precision,
-                parsed.get_opt("batch")?,
-                producers_override,
-                ep2_runtime::current_threads(),
-            )
-            .map_err(|e| e.to_string())?,
-        )
-    } else {
-        None
-    };
-    let (params, _) = match &stream_plan {
-        Some(splan) => autotune::plan_streamed(
-            &kernel,
-            &dataset.features,
-            l,
-            &device,
-            parsed.get_opt("s")?,
-            parsed.get_opt("q")?,
-            splan,
-            producers_override,
-            precision,
-            seed,
-        )
-        .map_err(|e| e.to_string())?,
-        None => autotune::plan(
-            &kernel,
-            &dataset.features,
-            dataset.n_classes,
-            &device,
-            parsed.get_opt("s")?,
-            parsed.get_opt("q")?,
-            parsed.get_opt("batch")?,
-            precision,
-            seed,
-        )
-        .map_err(|e| e.to_string())?,
-    };
-    println!(
-        "dataset: {} (n = {}, d = {}, l = {})",
-        dataset.name,
-        dataset.len(),
-        dataset.dim(),
-        dataset.n_classes
-    );
-    println!(
-        "device:  {} | kernel: {kind} (sigma = {sigma}) | precision: {precision} ({:.3e} slots)",
-        device.name,
-        device.memory_slots(precision)
-    );
-    println!();
-    match &stream_plan {
-        Some(splan) => {
-            println!(
-                "Step 1   residency = {} | m^C_G = {}   m = {}   n_tile = {}   \
-                 tiles in flight = {}",
-                ResidencyMode::Streamed,
-                params.capacity_batch,
-                params.m,
-                splan.n_tile,
-                splan.tiles_in_flight
-            );
-            println!(
-                "         peak residency {:.3e} of {:.3e} slots \
-                 (ring + weights + staged batch blocks)",
-                splan.resident_slots(precision),
-                device.memory_floats
-            );
-            if let Some(tp) = &params.stream_threads {
-                println!(
-                    "         threads = {} ({} producer(s) x {} assembly + {} update)",
-                    tp.total, tp.producers, tp.producer_threads, tp.update_threads
-                );
-            }
-        }
-        None => println!(
-            "Step 1   m^C_G = {}   m^S_G = {}   m = {}   threads = {}",
-            params.capacity_batch, params.memory_batch, params.m, params.threads
+    let config = load_config(parsed)?;
+    let (kind, sigma, precision) = (config.kernel, config.bandwidth, config.precision);
+    let plan = EigenPro2::new(config, device.clone())
+        .plan(&train_set.features, train_set.targets.cols())
+        .map_err(|e| e.to_string())?;
+    let p = &plan.params;
+    let step1 = match (&plan.stream, &p.stream_threads) {
+        (Some(splan), Some(tp)) => format!(
+            "m^C_G = {}   m = {}   n_tile = {}   tiles in flight = {}\n         \
+             peak residency {:.3e} of {:.3e} slots (ring + weights + staged batch blocks)\n         \
+             threads = {} ({} producer(s) x {} assembly + {} update)",
+            p.capacity_batch,
+            p.m,
+            splan.n_tile,
+            splan.tiles_in_flight,
+            splan.resident_slots(precision),
+            device.memory_floats,
+            tp.total,
+            tp.producers,
+            tp.producer_threads,
+            tp.update_threads
         ),
-    }
-    println!(
-        "Step 2   q(Eq.7) = {}   adjusted q = {}   s = {}",
-        params.q, params.adjusted_q, params.s
-    );
-    println!("Step 3   eta = {:.2}", params.eta);
-    println!();
-    println!(
-        "m*(k)   = {:.2}   (beta = {:.3}, lambda1 = {:.5})",
-        params.m_star, params.beta, params.lambda1
-    );
-    println!(
-        "m*(k_G) = {:.0}   (beta_G = {:.3}, lambda1_G = {:.6})",
-        params.m_star_g, params.beta_g, params.lambda1_g
-    );
-    println!(
-        "predicted acceleration (Appendix C): {:.0}x",
-        params.acceleration
-    );
-    Ok(())
+        _ => format!(
+            "m^C_G = {}   m^S_G = {}   m = {}   threads = {}",
+            p.capacity_batch, p.memory_batch, p.m, p.threads
+        ),
+    };
+    Ok(format!(
+        "dataset: {} (n = {} train / {} test, d = {}, l = {})\n\
+         device:  {} | kernel: {kind} (sigma = {sigma}) | precision: {precision} ({:.3e} slots)\n\n\
+         Step 1   residency = {} | {step1}\n\
+         Step 2   q(Eq.7) = {}   adjusted q = {}   s = {}\n\
+         Step 3   eta = {:.2}\n\n\
+         m*(k)   = {:.2}   (beta = {:.3}, lambda1 = {:.5})\n\
+         m*(k_G) = {:.0}   (beta_G = {:.3}, lambda1_G = {:.6})\n\
+         predicted acceleration (Appendix C): {:.0}x\n",
+        train_set.name,
+        train_set.len(),
+        test_set.len(),
+        train_set.dim(),
+        train_set.n_classes,
+        device.name,
+        device.memory_slots(precision),
+        plan.residency,
+        p.q,
+        p.adjusted_q,
+        p.s,
+        p.eta,
+        p.m_star,
+        p.beta,
+        p.lambda1,
+        p.m_star_g,
+        p.beta_g,
+        p.lambda1_g,
+        p.acceleration
+    ))
 }
 
 fn eval_model(parsed: &Parsed) -> Result<(), String> {
@@ -557,48 +481,44 @@ fn inspect_model(parsed: &Parsed) -> Result<(), String> {
     Ok(())
 }
 
-fn train(parsed: &Parsed) -> Result<(), String> {
+/// The split `train` trains on and `plan` previews: the first
+/// `1 - --test-frac` of the rows, and the held-out rest.
+fn load_split(parsed: &Parsed) -> Result<(Dataset, Dataset), String> {
     let dataset = load_dataset(parsed)?;
-    let device = load_device(parsed)?;
-    let kind = load_kernel_kind(parsed)?;
-    let sigma: f64 = parsed.get_or("sigma", 5.0)?;
-    let epochs: usize = parsed.get_or("epochs", 10)?;
     let test_frac: f64 = parsed.get_or("test-frac", 0.2)?;
     if !(0.0..1.0).contains(&test_frac) {
         return Err("--test-frac must be in [0, 1)".to_string());
     }
     let train_n = ((dataset.len() as f64) * (1.0 - test_frac)).round() as usize;
-    let (train_set, test_set) = dataset.split_at(train_n.clamp(1, dataset.len()));
-    let val = if test_set.is_empty() {
-        None
-    } else {
-        Some(&test_set)
-    };
+    Ok(dataset.split_at(train_n.clamp(1, dataset.len())))
+}
 
-    let config = TrainConfig {
-        kernel: kind,
-        bandwidth: sigma,
-        epochs,
+/// The training configuration `train` runs and `plan` resolves.
+fn load_config(parsed: &Parsed) -> Result<TrainConfig, String> {
+    Ok(TrainConfig {
+        kernel: {
+            let name = parsed
+                .options
+                .get("kernel")
+                .map_or("gaussian", String::as_str);
+            KernelKind::parse(name).ok_or_else(|| format!("unknown kernel {name}"))?
+        },
+        bandwidth: parsed.get_or("sigma", 5.0)?,
+        epochs: parsed.get_or("epochs", 10)?,
         subsample_size: parsed.get_opt("s")?,
         q: parsed.get_opt("q")?,
         batch_size: parsed.get_opt("batch")?,
         step_size: None,
-        early_stopping: if parsed.flag("no-early-stop") {
-            None
-        } else {
-            Some(EarlyStopping::default())
-        },
+        early_stopping: (!parsed.flag("no-early-stop")).then(EarlyStopping::default),
         target_train_mse: None,
         target_val_error: None,
         device_mode: DeviceMode::ActualGpu,
         precision: load_precision(parsed)?,
-        residency: if parsed.flag("out-of-core") {
-            Some(ResidencyMode::Streamed)
-        } else {
-            None
-        },
+        residency: parsed
+            .flag("out-of-core")
+            .then_some(ResidencyMode::Streamed),
         stream_tile: parsed.get_opt("tile")?,
-        stream_producers: resolve_producers(parsed)?,
+        stream_producers: parsed.get_opt("producers")?,
         seed: parsed.get_or("seed", 0)?,
         checkpoint_dir: parsed
             .options
@@ -607,10 +527,15 @@ fn train(parsed: &Parsed) -> Result<(), String> {
         checkpoint_every: parsed.get_or("checkpoint-every", 1)?,
         resume: parsed.flag("resume"),
         checkpoint_keep: parsed.get_opt("checkpoint-keep")?,
-    };
-    if config.resume && config.checkpoint_dir.is_none() {
-        return Err("--resume requires --checkpoint-dir".to_string());
-    }
+    })
+}
+
+fn train(parsed: &Parsed) -> Result<(), String> {
+    let (train_set, test_set) = load_split(parsed)?;
+    let val = (!test_set.is_empty()).then_some(&test_set);
+    let device = load_device(parsed)?;
+    let config = load_config(parsed)?;
+    let (kind, sigma) = (config.kernel, config.bandwidth);
     let outcome = EigenPro2::new(config, device)
         .fit(&train_set, val)
         .map_err(|e| e.to_string())?;
@@ -619,8 +544,13 @@ fn train(parsed: &Parsed) -> Result<(), String> {
     if let Some(epoch) = outcome.report.resumed_from_epoch {
         println!("resumed from checkpoint at epoch {epoch}");
     }
+    let tiling = outcome
+        .report
+        .stream_plan
+        .map(|sp| format!(", n_tile = {}", sp.n_tile))
+        .unwrap_or_default();
     println!(
-        "{}: n = {} train / {} test | {kind} sigma = {sigma} | {} | {} | m = {}, q = {}, eta = {:.1}",
+        "{}: n = {} train / {} test | {kind} sigma = {sigma} | {} | {} | m = {}, q = {}, eta = {:.1}{tiling}",
         train_set.name,
         train_set.len(),
         test_set.len(),
@@ -925,6 +855,45 @@ mod tests {
             "--out-of-core",
         ]);
         assert!(run(&f).is_ok());
+    }
+
+    #[test]
+    fn plan_honours_tile_override() {
+        let report = plan_report(&parsed(&[
+            "plan",
+            "--dataset",
+            "susy-like",
+            "--n",
+            "3000",
+            "--s",
+            "300",
+            "--out-of-core",
+            "--sg",
+            "100000",
+            "--tile",
+            "64",
+        ]))
+        .unwrap();
+        assert!(report.contains("n_tile = 64 "), "{report}");
+    }
+
+    #[test]
+    fn plan_and_train_refuse_zero_overrides() {
+        for (flag, field) in [
+            ("--batch", "batch_size"),
+            ("--tile", "stream_tile"),
+            ("--checkpoint-every", "checkpoint_every"),
+            ("--checkpoint-keep", "checkpoint_keep"),
+            ("--producers", "stream_producers"),
+        ] {
+            for command in ["plan", "train"] {
+                let argv = [command, "--dataset", "susy-like", "--n", "100", flag, "0"];
+                match run(&parsed(&argv)) {
+                    Err(message) => assert!(message.contains(field), "{flag}: {message}"),
+                    Ok(()) => panic!("{command} {flag} 0 was accepted"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub fn default_subsample_size(n: usize) -> usize {
 
 /// Everything Step 1–3 derive analytically. All intermediate quantities are
 /// public so harnesses can print the full Table-4 row.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AutoParams {
     /// `m^max_G` — the batch size used for training.
     pub m: usize,

@@ -103,7 +103,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// and safeguard state, the operation/clock accounting, and a fingerprint of
 /// the plan the run was executing under (so a checkpoint cannot silently
 /// resume under a different configuration).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TrainerState {
     /// Epochs fully completed.
     pub epochs_done: u64,

@@ -2,6 +2,17 @@
 //! stopping, dual (simulated-GPU + wall-clock) timing, and a numeric
 //! [`Precision`] policy.
 //!
+//! # Stages
+//!
+//! [`EigenPro2::fit`] runs in three stages:
+//!
+//! 1. **Plan**: validation, residency, streamed tiling and Steps 1–2 —
+//!    the [`TrainPlan`] that [`EigenPro2::plan`] (and `ep2 plan`) previews.
+//! 2. **Reserve**: the plan's residency is charged on the memory ledger; an
+//!    allocation failure degrades the plan and re-runs Steps 1–2.
+//! 3. **Epoch loop** over one live [`TrainerState`]: the state a
+//!    checkpoint saves and a resume loads.
+//!
 //! # Precision policy
 //!
 //! [`TrainConfig::precision`] selects one of three operating points
@@ -44,8 +55,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ep2_data::{metrics, Dataset};
-use ep2_device::{batch, DeviceMode, Precision, ResidencyMode, ResourceSpec, SimClock};
-use ep2_kernels::KernelKind;
+use ep2_device::cost::ProblemShape;
+use ep2_device::memory::Allocation;
+use ep2_device::{
+    batch, DeviceMode, MemoryLedger, Precision, ResidencyMode, ResourceSpec, SimClock,
+};
+use ep2_kernels::{Kernel, KernelKind};
 use ep2_linalg::{Matrix, Scalar};
 use ep2_stream::{BlockPlan, StreamEngine};
 use rand::rngs::StdRng;
@@ -115,7 +130,7 @@ pub struct TrainConfig {
     pub subsample_size: Option<usize>,
     /// Spectral truncation `q`; `None` = Eq. (7) + Appendix-B adjustment.
     pub q: Option<usize>,
-    /// Mini-batch size; `None` = `m^max_G` from Step 1.
+    /// Mini-batch size; `None` = `m^max_G` from Step 1. Must be positive.
     pub batch_size: Option<usize>,
     /// Step size; `None` = analytic `η`.
     pub step_size: Option<f64>,
@@ -141,8 +156,9 @@ pub struct TrainConfig {
     /// streamed equivalence tests and throughput comparisons run.
     pub residency: Option<ResidencyMode>,
     /// Streamed-mode tile-width override (columns per kernel-block tile);
-    /// `None` = the widest tile the ring budget affords. Must still fit the
-    /// budget formula — see `ep2_device::batch::streamed_slots`.
+    /// `None` = the widest tile the ring budget affords. Must be positive
+    /// and still fit the budget formula — see
+    /// `ep2_device::batch::streamed_slots`; tiles wider than `n` run at `n`.
     pub stream_tile: Option<usize>,
     /// Streamed-mode producer-count override (tile-assembly stage tasks).
     /// `None` (the default) lets `autotune::plan_streamed` partition the
@@ -157,9 +173,9 @@ pub struct TrainConfig {
     /// persist format (model + [`TrainerState`] + CRC32), written
     /// atomically so a crash mid-write can never corrupt the last good one.
     pub checkpoint_dir: Option<PathBuf>,
-    /// Checkpoint cadence in epochs (default 1 = every epoch). Only epochs
-    /// the divergence safeguard did not flag are checkpointed, so a resume
-    /// always starts from a healthy state.
+    /// Checkpoint cadence in epochs (default 1 = every epoch; must be
+    /// positive). Only epochs the divergence safeguard did not flag are
+    /// checkpointed, so a resume always starts from a healthy state.
     pub checkpoint_every: usize,
     /// Resume from the newest valid checkpoint in `checkpoint_dir` (corrupt
     /// or torn files are skipped with a warning). The restored run continues
@@ -172,7 +188,7 @@ pub struct TrainConfig {
     /// `ckpt-*.ep2` files, pruning older ones **after** each successful
     /// atomic checkpoint write (never mid-write, so the file a crashed
     /// resume would fall back to is always intact). `None` keeps every
-    /// checkpoint; values are clamped to at least 1.
+    /// checkpoint; `Some(0)` is rejected.
     pub checkpoint_keep: Option<usize>,
 }
 
@@ -248,6 +264,9 @@ pub struct TrainReport {
     /// Residency the run executed under (`Streamed` = out-of-core
     /// kernel-block streaming).
     pub residency: ResidencyMode,
+    /// The streamed tiling the run executed (`None` in core): `m`,
+    /// `n_tile`, ring depth and peak residency.
+    pub stream_plan: Option<batch::StreamedBatchPlan>,
     /// High-water mark of ledger-charged device slots over the whole run —
     /// streamed runs assert `peak_slots <= budget_slots` to prove they
     /// never exceeded `S_G`.
@@ -289,6 +308,18 @@ pub struct TrainOutcome {
     pub model: KernelModel,
     /// Metrics, parameters and timings.
     pub report: TrainReport,
+}
+
+/// The plan a run executes, as [`EigenPro2::plan`] resolves it: the
+/// analytic parameters of Steps 1–3, the residency, and the streamed tiling.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TrainPlan {
+    /// The analytically selected parameters (Table 4's columns).
+    pub params: AutoParams,
+    /// Where the kernel blocks live during training.
+    pub residency: ResidencyMode,
+    /// The streamed tiling (`None` in core).
+    pub stream: Option<batch::StreamedBatchPlan>,
 }
 
 /// Validation data + metric, precision-agnostic (features are cast into the
@@ -367,26 +398,178 @@ impl EigenPro2 {
         val: Option<ValMetric>,
     ) -> Result<TrainOutcome, CoreError> {
         match self.config.precision {
-            Precision::F64 => self.fit_typed::<f64>(features, targets, val, false),
-            Precision::F32 => self.fit_typed::<f32>(features, targets, val, false),
-            Precision::Mixed => self.fit_typed::<f32>(features, targets, val, true),
-            Precision::Bf16 => self.fit_typed::<ep2_linalg::Bf16>(features, targets, val, true),
+            Precision::F64 => self.fit_typed::<f64>(features, targets, val),
+            Precision::F32 | Precision::Mixed => self.fit_typed::<f32>(features, targets, val),
+            Precision::Bf16 => self.fit_typed::<ep2_linalg::Bf16>(features, targets, val),
         }
     }
 
-    /// Steps 1–2 at precision `P`: [`autotune::plan`] for in-core
-    /// residency, [`autotune::plan_streamed`] under a streamed plan.
-    fn plan_at<P: Scalar>(
+    /// The plan [`Self::fit`] executes on `features` with `n_outputs`
+    /// outputs, without training. `fit` starts from the same resolver, so
+    /// the preview is what runs unless a mid-setup allocation failure
+    /// degrades it (see [`TrainReport::degradations`]).
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::InvalidConfig`] for an empty training set or a zero
+    /// count option; [`CoreError::DeviceMemory`] when the residency cannot
+    /// fit the device; eigensolver failures.
+    pub fn plan(&self, features: &Matrix, n_outputs: usize) -> Result<TrainPlan, CoreError> {
+        // Only `F32` runs Steps 1–2 at the storage precision; every other
+        // policy plans at f64 on the f64 features.
+        Ok(match self.config.precision {
+            Precision::F32 => {
+                self.plan_typed::<f32>(features, &features.cast(), n_outputs)?
+                    .0
+            }
+            _ => self.plan_typed::<f64>(features, features, n_outputs)?.0,
+        })
+    }
+
+    /// Rejects configurations no plan can honour, before any work runs:
+    /// zero counts are refused, never clamped.
+    fn validate(&self, features: &Matrix) -> Result<(), CoreError> {
+        let cfg = &self.config;
+        let counts = [
+            ("epochs", Some(cfg.epochs)),
+            ("batch_size", cfg.batch_size),
+            ("stream_tile", cfg.stream_tile),
+            ("stream_producers", cfg.stream_producers),
+            ("checkpoint_every", Some(cfg.checkpoint_every)),
+            ("checkpoint_keep", cfg.checkpoint_keep),
+        ];
+        let message = if features.rows() == 0 {
+            "training set is empty".to_string()
+        } else if let Some((field, _)) = counts.iter().find(|(_, v)| *v == Some(0)) {
+            format!("{field} must be positive")
+        } else if cfg.resume && cfg.checkpoint_dir.is_none() {
+            "resume requires checkpoint_dir".to_string()
+        } else {
+            return Ok(());
+        };
+        Err(CoreError::InvalidConfig { message })
+    }
+
+    /// The one resolver behind [`Self::plan`] and [`Self::fit`]:
+    /// validation, the residency choice, streamed sizing, then Steps 1–2 at
+    /// the precision policy. `x` is the training matrix at the storage
+    /// precision `S`.
+    fn plan_typed<S: Scalar>(
         &self,
-        kernel: &Arc<dyn ep2_kernels::Kernel<P>>,
+        features: &Matrix,
+        x: &Matrix<S>,
+        n_outputs: usize,
+    ) -> Result<(TrainPlan, Precond<S::Compute>), CoreError> {
+        self.validate(features)?;
+        let cfg = &self.config;
+        let (n, d) = (features.rows(), features.cols());
+        // Honour the override, otherwise stream exactly when the in-core
+        // Step-1 bound has no solution (m^S_G = 0 — features + weights +
+        // one kernel-block row over-budget).
+        let fits = batch::fits_in_core(&self.device, n, d, n_outputs, cfg.precision);
+        let residency = cfg.residency.unwrap_or(if fits {
+            ResidencyMode::InCore
+        } else {
+            ResidencyMode::Streamed
+        });
+        let stream = match residency {
+            ResidencyMode::InCore if !fits => {
+                return Err(CoreError::DeviceMemory {
+                    message: format!(
+                        "in-core residency needs (d + l + 1)·n = {:.3e} slots of {:.3e} at {}; \
+                         the dataset can only train Streamed (--out-of-core)",
+                        ((d + n_outputs + 1) * n) as f64 * cfg.precision.slot_factor(),
+                        self.device.memory_floats,
+                        cfg.precision,
+                    ),
+                })
+            }
+            ResidencyMode::InCore => None,
+            ResidencyMode::Streamed => Some(self.stream_plan(n, d, n_outputs)?),
+        };
+        let (params, precond) = self.steps_1_2(features, x, n_outputs, stream.as_ref())?;
+        Ok((
+            TrainPlan {
+                params,
+                residency,
+                stream,
+            },
+            precond,
+        ))
+    }
+
+    /// Streamed Step 1: `m` and the ring sized to the explicit or planned
+    /// producer count (the final cost-model partition runs inside
+    /// `plan_streamed` once `s`/`q` are known), then the `stream_tile`
+    /// override checked against the budget.
+    fn stream_plan(
+        &self,
+        n: usize,
+        d: usize,
+        l: usize,
+    ) -> Result<batch::StreamedBatchPlan, CoreError> {
+        let cfg = &self.config;
+        let mut splan = batch::max_batch_streamed_planned(
+            &self.device,
+            n,
+            d,
+            l,
+            cfg.precision,
+            cfg.batch_size,
+            cfg.stream_producers,
+            ep2_runtime::current_threads(),
+        )
+        .map_err(|e| CoreError::DeviceMemory {
+            message: e.to_string(),
+        })?;
+        if let Some(tile) = cfg.stream_tile {
+            splan.retile(tile.min(n), n, d, l);
+            let (needs, budget) = (
+                splan.resident_slots(cfg.precision),
+                self.device.memory_floats,
+            );
+            if needs > budget {
+                return Err(CoreError::DeviceMemory {
+                    message: format!(
+                        "stream_tile override {tile} needs {needs:.3e} slots of {budget:.3e}"
+                    ),
+                });
+            }
+        }
+        Ok(splan)
+    }
+
+    /// Steps 1–2 at the precision policy. `Mixed` and `Bf16` run the
+    /// subsample eigensolve, β/λ₁ estimation and analytic η at f64 on the
+    /// f64 `features`; `F64` and `F32` plan at `S` on `x`. Either way the
+    /// preconditioner is cast to the hot loop's compute precision.
+    fn steps_1_2<S: Scalar>(
+        &self,
+        features: &Matrix,
+        x: &Matrix<S>,
+        n_outputs: usize,
+        splan: Option<&batch::StreamedBatchPlan>,
+    ) -> Planned<S::Compute> {
+        if matches!(self.config.precision, Precision::Mixed | Precision::Bf16) {
+            self.plan_at(features, n_outputs, splan)
+        } else {
+            self.plan_at(x, n_outputs, splan)
+        }
+    }
+
+    /// [`autotune::plan`] for in-core residency, [`autotune::plan_streamed`]
+    /// under a streamed plan, at precision `P` on `x`.
+    fn plan_at<P: Scalar, C: Scalar>(
+        &self,
         x: &Matrix<P>,
         n_outputs: usize,
         splan: Option<&batch::StreamedBatchPlan>,
-    ) -> Planned<P> {
+    ) -> Planned<C> {
         let cfg = &self.config;
-        match splan {
+        let kernel: Arc<dyn Kernel<P>> = cfg.kernel.with_bandwidth_in::<P>(cfg.bandwidth).into();
+        let (params, precond) = match splan {
             None => autotune::plan(
-                kernel,
+                &kernel,
                 x,
                 n_outputs,
                 &self.device,
@@ -397,7 +580,7 @@ impl EigenPro2 {
                 cfg.seed,
             ),
             Some(splan) => autotune::plan_streamed(
-                kernel,
+                &kernel,
                 x,
                 n_outputs,
                 &self.device,
@@ -408,529 +591,307 @@ impl EigenPro2 {
                 cfg.precision,
                 cfg.seed,
             ),
+        }?;
+        Ok((params, precond.map(|p| p.cast())))
+    }
+
+    /// Charges the plan's Step-1 accounting on `ledger` at the precision's
+    /// slot width. In core: features (d·n) + weights (l·n) + the kernel
+    /// block (m·n). Streamed: weights (l·n) + the batch feature block (d·m),
+    /// plus the tile ring the returned engine charges. The caller holds the
+    /// reservation for the whole run.
+    ///
+    /// An allocation failure degrades instead of aborting: in core re-plans
+    /// as streamed, a streamed ring halves its tile down to a 16-column
+    /// floor. Each step re-runs Steps 1–2 and is logged.
+    #[allow(clippy::too_many_arguments)]
+    fn reserve<S: Scalar>(
+        &self,
+        plan: &mut TrainPlan,
+        precond: &mut Precond<S::Compute>,
+        features: &Matrix,
+        kernel: &Arc<dyn Kernel<S>>,
+        centers: &Arc<Matrix<S>>,
+        n_outputs: usize,
+        ledger: &MemoryLedger,
+    ) -> Result<Reserved<S>, CoreError> {
+        let (n, d, l) = (features.rows(), features.cols(), n_outputs);
+        let precision = self.config.precision;
+        let mut degradations = Vec::new();
+        loop {
+            let built = match &plan.stream {
+                None => ledger
+                    .alloc(((d + l + plan.params.m) * n) as f64 * precision.slot_factor())
+                    .map(|residency| (residency, None)),
+                Some(splan) => {
+                    let bplan = BlockPlan::from_streamed(n, d, l, splan, precision)
+                        .with_stream_threads(
+                            plan.params
+                                .stream_threads
+                                .expect("plan_streamed always records the thread partition"),
+                        );
+                    ledger.alloc(bplan.static_slots()).and_then(|residency| {
+                        StreamEngine::new(Arc::clone(kernel), Arc::clone(centers), bplan, ledger)
+                            .map(|engine| (residency, Some(Box::new(engine))))
+                    })
+                }
+            };
+            let e = match built {
+                Ok((residency, engine)) => return Ok((residency, engine, degradations)),
+                Err(e) => e,
+            };
+            match &mut plan.stream {
+                None => {
+                    let splan = self.stream_plan(n, d, l).map_err(|plan_err| {
+                        let message = format!(
+                            "in-core residency allocation failed ({e}) and no streamed plan \
+                             fits either: {plan_err}"
+                        );
+                        CoreError::DeviceMemory { message }
+                    })?;
+                    degradations.push(format!(
+                        "in-core residency allocation failed ({e}); re-planned to \
+                         streamed residency (tile {})",
+                        splan.n_tile
+                    ));
+                    plan.residency = ResidencyMode::Streamed;
+                    plan.stream = Some(splan);
+                }
+                Some(splan) if splan.n_tile > 16 => {
+                    let narrowed = (splan.n_tile / 2).max(16);
+                    degradations.push(format!(
+                        "streamed allocation failed ({e}); narrowed tile {} -> {narrowed}",
+                        splan.n_tile
+                    ));
+                    splan.retile(narrowed, n, d, l);
+                }
+                Some(_) => {
+                    return Err(CoreError::DeviceMemory {
+                        message: format!(
+                            "{e} (streamed tile already at the 16-column floor; no \
+                             degradation path left)"
+                        ),
+                    })
+                }
+            }
+            (plan.params, *precond) = self.steps_1_2(features, centers, l, plan.stream.as_ref())?;
         }
     }
 
-    /// The training loop, monomorphised per precision. `plan_at_f64` is the
-    /// `Mixed` policy: Steps 1–2 (subsample eigensolve, β/λ₁ estimation,
-    /// analytic η) run at f64 on the f64 data, and only the resulting
-    /// preconditioner is cast into `S` for the Algorithm-1 hot loop.
+    /// The step size the hot loop executes. The analytic η sits on the
+    /// stability edge: η* = m/(β_G + (m−1)λ₁) with λ₁ estimated from the
+    /// f64 plan. Under bf16 the *executed* kernel blocks carry
+    /// 2^-8-relative storage rounding the preconditioner cannot damp, so
+    /// the executed step is re-derived with the quantisation margin
+    /// [`BF16_LAMBDA_MARGIN`] added to λ₁. The reported plan keeps the
+    /// analytic value (it is the f64 plan, transferred verbatim), an
+    /// explicit `step_size` is always respected, and the divergence
+    /// safeguard ([`judge_epoch`]) remains the backstop.
+    fn executed_eta(&self, params: &AutoParams) -> f64 {
+        self.config
+            .step_size
+            .unwrap_or(match self.config.precision {
+                Precision::Bf16 => crate::critical::optimal_step_size(
+                    params.m,
+                    params.beta_g,
+                    params.lambda1_g + BF16_LAMBDA_MARGIN,
+                ),
+                _ => params.eta,
+            })
+    }
+
+    /// Creates the `checkpoint_dir`, if any. Fail fast, before the
+    /// expensive run: a directory that cannot be created would otherwise
+    /// degrade every epoch's snapshot into a warning.
+    fn create_checkpoint_dir(&self) -> Result<(), CoreError> {
+        match self.config.checkpoint_dir.as_deref() {
+            Some(dir) => std::fs::create_dir_all(dir).map_err(|e| CoreError::InvalidConfig {
+                message: format!("cannot create checkpoint directory {}: {e}", dir.display()),
+            }),
+            None => Ok(()),
+        }
+    }
+
+    /// The newest valid checkpoint to resume from when `resume` is set: its
+    /// run state and weights, after checking it was written under this plan
+    /// (`fingerprint`) and for this data. `None` when there is nothing to
+    /// resume.
+    fn resume_point<S: Scalar>(
+        &self,
+        fingerprint: u64,
+        n: usize,
+        n_outputs: usize,
+    ) -> Result<Option<(TrainerState, Matrix<S>)>, CoreError> {
+        let cfg = &self.config;
+        let Some(dir) = cfg.checkpoint_dir.as_deref().filter(|_| cfg.resume) else {
+            return Ok(None);
+        };
+        let Some((path, model, state)) = latest_valid_checkpoint(dir) else {
+            return Ok(None);
+        };
+        let consistent = state.history.len() as u64 == state.epochs_done
+            && model.n_centers() == n
+            && model.n_outputs() == n_outputs;
+        let message = if state.plan_fingerprint != fingerprint {
+            format!(
+                "checkpoint {} was written under a different plan \
+                 (fingerprint {:#018x}, this run {fingerprint:#018x}); refusing to resume",
+                path.display(),
+                state.plan_fingerprint,
+            )
+        } else if !consistent {
+            format!(
+                "checkpoint {} is inconsistent with this run's data",
+                path.display()
+            )
+        } else {
+            // Lossless: checkpoints store f64 weights widened from `S`, so
+            // casting back reproduces the stored values bit-for-bit.
+            return Ok(Some((state, model.weights_in())));
+        };
+        Err(CoreError::InvalidConfig { message })
+    }
+
+    /// The training run, monomorphised per storage precision: plan,
+    /// reserve, then the epoch loop over one [`TrainerState`].
     fn fit_typed<S: Scalar>(
         &self,
         features: &Matrix,
         targets: &Matrix,
         val: Option<ValMetric>,
-        plan_at_f64: bool,
     ) -> Result<TrainOutcome, CoreError> {
         let cfg = &self.config;
-        if features.rows() == 0 {
-            return Err(CoreError::InvalidConfig {
-                message: "training set is empty".to_string(),
-            });
-        }
-        if cfg.epochs == 0 {
-            return Err(CoreError::InvalidConfig {
-                message: "epochs must be positive".to_string(),
-            });
-        }
-        let kernel: Arc<dyn ep2_kernels::Kernel<S>> =
-            cfg.kernel.with_bandwidth_in::<S>(cfg.bandwidth).into();
+        let (n, d, l) = (features.rows(), features.cols(), targets.cols());
         // Borrow when S is already f64 (the default path pays no cast copy).
-        let features_s: Cow<'_, Matrix<S>> = cast_cow(features);
         let targets_s: Cow<'_, Matrix<S>> = cast_cow(targets);
-        let n_outputs = targets.cols();
-        let n = features.rows();
-        let d = features.cols();
-
-        // Residency: honour the override, otherwise stream exactly when the
-        // in-core Step-1 bound has no solution (m^S_G = 0 — features +
-        // weights + one kernel-block row over-budget).
-        let fits = batch::fits_in_core(&self.device, n, d, n_outputs, cfg.precision);
-        let residency = cfg.residency.unwrap_or(if fits {
-            ResidencyMode::InCore
-        } else {
-            ResidencyMode::Streamed
-        });
-        if residency == ResidencyMode::InCore && !fits {
-            return Err(CoreError::DeviceMemory {
-                message: format!(
-                    "in-core residency needs (d + l + 1)·n = {:.3e} slots of {:.3e} at {}; \
-                     the dataset can only train Streamed (--out-of-core)",
-                    ((d + n_outputs + 1) * n) as f64 * cfg.precision.slot_factor(),
-                    self.device.memory_floats,
-                    cfg.precision,
-                ),
-            });
-        }
-
-        // Steps 1–2 (+ Step-3 parameters), residency-specific. The producer
-        // count is the explicit config, else planned;
-        // `max_batch_streamed_planned` (shared with `ep2 plan`, so both
-        // always agree on the tiling) sizes the ring to the planned
-        // producer count, and the final cost-model partition runs inside
-        // `plan_streamed` once `s`/`q` are known.
-        let requested_producers = cfg.stream_producers;
-        let mut stream_plan = match residency {
-            ResidencyMode::InCore => None,
-            ResidencyMode::Streamed => {
-                let mut splan = batch::max_batch_streamed_planned(
-                    &self.device,
-                    n,
-                    d,
-                    n_outputs,
-                    cfg.precision,
-                    cfg.batch_size,
-                    requested_producers,
-                    ep2_runtime::current_threads(),
-                )
-                .map_err(|e| CoreError::DeviceMemory {
-                    message: e.to_string(),
-                })?;
-                if let Some(tile) = cfg.stream_tile {
-                    splan.n_tile = tile.clamp(1, n);
-                    splan.resident_elements = batch::streamed_slots(
-                        n,
-                        d,
-                        n_outputs,
-                        splan.m,
-                        splan.n_tile,
-                        splan.tiles_in_flight,
-                    );
-                    if splan.resident_slots(cfg.precision) > self.device.memory_floats {
-                        return Err(CoreError::DeviceMemory {
-                            message: format!(
-                                "stream_tile override {} needs {:.3e} slots of {:.3e}",
-                                splan.n_tile,
-                                splan.resident_slots(cfg.precision),
-                                self.device.memory_floats,
-                            ),
-                        });
-                    }
-                }
-                Some(splan)
-            }
-        };
-        let centers: Arc<Matrix<S>> = Arc::new(features_s.into_owned());
-        // Steps 1–2 planning, re-callable: the graceful-degradation loop
-        // below may re-plan after a mid-setup allocation failure (in-core →
-        // streamed residency, or a narrower streamed tile).
-        let plan_with = |splan: Option<&batch::StreamedBatchPlan>| -> Planned<S::Compute> {
-            if plan_at_f64 {
-                let kernel64: Arc<dyn ep2_kernels::Kernel> =
-                    cfg.kernel.with_bandwidth(cfg.bandwidth).into();
-                let (params, precond64) = self.plan_at(&kernel64, features, n_outputs, splan)?;
-                Ok((params, precond64.map(|p| p.cast::<S::Compute>())))
-            } else {
-                let (params, precond) = self.plan_at(&kernel, &centers, n_outputs, splan)?;
-                Ok((params, precond.map(precond_into_compute)))
-            }
-        };
-        let (mut params, mut precond) = plan_with(stream_plan.as_ref())?;
-        // Enforce the Step-1 memory accounting on the device ledger, at the
-        // slot width of the chosen precision (f64 elements cost two
-        // f32-reference slots). In-core: the resident features (d·n) +
-        // weights (l·n) + the mini-batch kernel block (m·n). Streamed: the
-        // weights (l·n) + batch feature block (d·m) held here, plus the tile
-        // ring charged by the engine below. The guard is held for the whole
-        // training run (dropped explicitly after the last epoch), so the
-        // reservation provably spans every transient the loop charges.
-        //
-        // A `MemoryError` here does not abort the run: the loop degrades
-        // gracefully — an in-core residency that fails to allocate re-plans
-        // as streamed, and a streamed ring that fails to allocate narrows
-        // its tile (halving down to a 16-column floor) — recording each
-        // step in `degradations` so the report shows what happened.
-        let ledger = ep2_device::MemoryLedger::new(self.device.memory_floats);
-        let mut residency = residency;
-        let mut degradations: Vec<String> = Vec::new();
-        let mut executor = loop {
-            let built: Result<Executor<S>, ep2_device::MemoryError> = match &stream_plan {
-                None => {
-                    let resident_slots =
-                        ((d + n_outputs + params.m) * n) as f64 * cfg.precision.slot_factor();
-                    ledger
-                        .alloc(resident_slots)
-                        .map(|guard| Executor::InCore { _residency: guard })
-                }
-                Some(splan) => {
-                    let bplan = BlockPlan::from_streamed(n, d, n_outputs, splan, cfg.precision)
-                        .with_stream_threads(
-                            params
-                                .stream_threads
-                                .expect("plan_streamed always records the thread partition"),
-                        );
-                    ledger.alloc(bplan.static_slots()).and_then(|guard| {
-                        StreamEngine::new(Arc::clone(&kernel), Arc::clone(&centers), bplan, &ledger)
-                            .map(|engine| Executor::Streamed {
-                                engine: Box::new(engine),
-                                shape: ep2_device::cost::ProblemShape {
-                                    n,
-                                    m: params.m,
-                                    d,
-                                    l: n_outputs,
-                                    s: params.s,
-                                    q: params.adjusted_q,
-                                },
-                                _residency: guard,
-                            })
-                    })
-                }
-            };
-            match built {
-                Ok(executor) => break executor,
-                Err(e) => match &mut stream_plan {
-                    None => {
-                        let splan = batch::max_batch_streamed_planned(
-                            &self.device,
-                            n,
-                            d,
-                            n_outputs,
-                            cfg.precision,
-                            cfg.batch_size,
-                            requested_producers,
-                            ep2_runtime::current_threads(),
-                        )
-                        .map_err(|plan_err| CoreError::DeviceMemory {
-                            message: format!(
-                                "in-core residency allocation failed ({e}) and no streamed \
-                                 plan fits either: {plan_err}"
-                            ),
-                        })?;
-                        degradations.push(format!(
-                            "in-core residency allocation failed ({e}); re-planned to \
-                             streamed residency (tile {})",
-                            splan.n_tile
-                        ));
-                        residency = ResidencyMode::Streamed;
-                        stream_plan = Some(splan);
-                        let (p, pc) = plan_with(stream_plan.as_ref())?;
-                        params = p;
-                        precond = pc;
-                    }
-                    Some(splan) if splan.n_tile > 16 => {
-                        let narrowed = (splan.n_tile / 2).max(16);
-                        degradations.push(format!(
-                            "streamed allocation failed ({e}); narrowed tile {} -> {narrowed}",
-                            splan.n_tile
-                        ));
-                        splan.n_tile = narrowed;
-                        splan.resident_elements = batch::streamed_slots(
-                            n,
-                            d,
-                            n_outputs,
-                            splan.m,
-                            narrowed,
-                            splan.tiles_in_flight,
-                        );
-                        let (p, pc) = plan_with(stream_plan.as_ref())?;
-                        params = p;
-                        precond = pc;
-                    }
-                    Some(_) => {
-                        return Err(CoreError::DeviceMemory {
-                            message: format!(
-                                "{e} (streamed tile already at the 16-column floor; no \
-                                 degradation path left)"
-                            ),
-                        })
-                    }
-                },
-            }
-        };
-        let m = params.m;
-        // The analytic η sits on the stability edge: η* = m/(β_G + (m−1)λ₁)
-        // with λ₁ estimated from the f64 plan. Under bf16 the *executed*
-        // kernel blocks carry 2^-8-relative storage rounding the
-        // preconditioner cannot damp, so the executed step is re-derived
-        // with the quantisation margin [`BF16_LAMBDA_MARGIN`] added to λ₁.
-        // The reported plan keeps the analytic value (it is the f64 plan,
-        // transferred verbatim), an explicit `step_size` is always
-        // respected, and the divergence safeguard below remains the
-        // backstop.
-        let eta = cfg.step_size.unwrap_or(match cfg.precision {
-            Precision::Bf16 => crate::critical::optimal_step_size(
-                m,
-                params.beta_g,
-                params.lambda1_g + BF16_LAMBDA_MARGIN,
-            ),
-            _ => params.eta,
-        });
-        let model = KernelModel::zeros_shared(kernel, centers, n_outputs);
+        let centers: Arc<Matrix<S>> = Arc::new(cast_cow(features).into_owned());
+        let (mut plan, mut precond) = self.plan_typed(features, &centers, l)?;
+        let kernel: Arc<dyn Kernel<S>> = cfg.kernel.with_bandwidth_in::<S>(cfg.bandwidth).into();
+        let ledger = MemoryLedger::new(self.device.memory_floats);
+        let (residency, mut engine, mut degradations) = self.reserve(
+            &mut plan,
+            &mut precond,
+            features,
+            &kernel,
+            &centers,
+            l,
+            &ledger,
+        )?;
+        let eta = self.executed_eta(&plan.params);
+        let model = KernelModel::zeros_shared(kernel, centers, l);
         let mut iter = EigenProIteration::new(model, precond, eta);
         let mut clock = SimClock::new(self.device.clone(), cfg.device_mode);
         let start = Instant::now();
 
         // Validation features cast into the training precision once
         // (borrowed under f64).
-        let val_s: Option<(Cow<'_, Matrix<S>>, &ValMetric)> = val.as_ref().map(|v| {
-            let f = match v {
-                ValMetric::Classification { features, .. } => cast_cow(features),
-                ValMetric::Mse { features, .. } => cast_cow(features),
-            };
-            (f, v)
+        let val_s: Option<(Cow<'_, Matrix<S>>, &ValMetric)> = val.as_ref().map(|v| match v {
+            ValMetric::Classification { features, .. } | ValMetric::Mse { features, .. } => {
+                (cast_cow(features), v)
+            }
         });
-
-        let mut epochs_out = Vec::with_capacity(cfg.epochs);
-        let mut best_val = f64::INFINITY;
-        let mut since_best = 0usize;
-        let mut stop_reason = StopReason::EpochsExhausted;
-        let mut prev_mse = f64::INFINITY;
-        let mut eta_backoffs = 0_u32;
-        let mut rollbacks = 0_u32;
+        let fingerprint = plan_fingerprint(cfg, n, d, l, &plan.params, plan.residency);
+        let mut state = TrainerState {
+            eta,
+            best_val: f64::INFINITY,
+            prev_mse: f64::INFINITY,
+            plan_fingerprint: fingerprint,
+            precision: cfg.precision,
+            ..TrainerState::default()
+        };
         // Last healthy weights, refreshed at the checkpoint cadence: the
         // divergence safeguard's rollback target, kept in memory even when
         // no checkpoint directory is configured.
         let mut last_good: Option<Matrix<S>> = None;
-        let mut start_epoch = 1_usize;
+        self.create_checkpoint_dir()?;
         let mut resumed_from_epoch = None;
-        let fingerprint = plan_fingerprint(cfg, n, d, n_outputs, &params, residency);
-        let ckpt_kernel: Option<Arc<dyn ep2_kernels::Kernel>> = cfg
-            .checkpoint_dir
-            .as_ref()
-            .map(|_| cfg.kernel.with_bandwidth(cfg.bandwidth).into());
-        if let Some(dir) = &cfg.checkpoint_dir {
-            // Fail fast, before the expensive run: a checkpoint directory
-            // that cannot be created would otherwise degrade every epoch's
-            // snapshot into a warning.
-            std::fs::create_dir_all(dir).map_err(|e| CoreError::InvalidConfig {
-                message: format!("cannot create checkpoint directory {}: {e}", dir.display()),
-            })?;
+        if let Some((loaded, weights)) = self.resume_point::<S>(fingerprint, n, l)? {
+            restore_run(&loaded, weights, &mut iter, &mut clock);
+            last_good = Some(iter.model().weights().clone());
+            resumed_from_epoch = Some(loaded.epochs_done as usize);
+            state = loaded;
         }
 
-        if cfg.resume {
-            let dir = cfg
-                .checkpoint_dir
-                .as_deref()
-                .ok_or_else(|| CoreError::InvalidConfig {
-                    message: "resume requires checkpoint_dir".to_string(),
-                })?;
-            if let Some((path, ckpt_model, state)) = latest_valid_checkpoint(dir) {
-                if state.plan_fingerprint != fingerprint {
-                    return Err(CoreError::InvalidConfig {
-                        message: format!(
-                            "checkpoint {} was written under a different plan \
-                             (fingerprint {:#018x}, this run {:#018x}); refusing to resume",
-                            path.display(),
-                            state.plan_fingerprint,
-                            fingerprint
-                        ),
-                    });
-                }
-                if state.history.len() as u64 != state.epochs_done
-                    || ckpt_model.n_centers() != n
-                    || ckpt_model.n_outputs() != n_outputs
-                {
-                    return Err(CoreError::InvalidConfig {
-                        message: format!(
-                            "checkpoint {} is inconsistent with this run's data",
-                            path.display()
-                        ),
-                    });
-                }
-                // Lossless: checkpoints store f64 weights widened from `S`,
-                // so casting back reproduces the stored values bit-for-bit.
-                *iter.model_mut().weights_mut() = ckpt_model.weights_in();
-                iter.set_eta(state.eta);
-                *iter.counter_mut() = FlopCounter {
-                    sgd_ops: state.sgd_ops,
-                    precond_ops: state.precond_ops,
-                    iterations: state.iterations,
-                };
-                clock.restore(
-                    state.simulated_seconds,
-                    state.sim_launches,
-                    state.sim_total_ops,
-                );
-                epochs_out = state.history.clone();
-                best_val = state.best_val;
-                since_best = state.since_best as usize;
-                prev_mse = state.prev_mse;
-                eta_backoffs = state.eta_backoffs;
-                rollbacks = state.rollbacks;
-                last_good = Some(iter.model().weights().clone());
-                start_epoch = state.epochs_done as usize + 1;
-                resumed_from_epoch = Some(state.epochs_done as usize);
-            }
-        }
-
+        let shape = ProblemShape {
+            n,
+            m: plan.params.m,
+            d,
+            l,
+            s: plan.params.s,
+            q: plan.params.adjusted_q,
+        };
         // Streamed runs evaluate epoch metrics through the column-tiled
         // prediction path so the transient kernel panel stays within one
         // ring slot (`m x n_tile`) — the in-core `block x n` panel would
         // break the very budget streaming exists to respect.
-        let eval_tile = stream_plan.as_ref().map(|sp| (m.max(1), sp.n_tile));
-
-        'outer: for epoch in start_epoch..=cfg.epochs {
+        let eval_tile = plan.stream.map(|sp| (shape.m.max(1), sp.n_tile));
+        let mut stop_reason = StopReason::EpochsExhausted;
+        for epoch in state.epochs_done as usize + 1..=cfg.epochs {
             // Each epoch derives its shuffle from (seed, epoch) alone — not
             // from a run-long RNG stream — so a resumed run at epoch e
             // replays exactly the batches the uninterrupted run drew there.
-            let mut rng = StdRng::seed_from_u64(epoch_seed(cfg.seed, epoch as u64));
             let mut indices: Vec<usize> = (0..n).collect();
-            indices.shuffle(&mut rng);
-            if matches!(executor, Executor::Streamed { .. }) {
-                // A streamed epoch can still fail beyond what the pipeline's
-                // self-healing absorbs (every producer dead with the respawn
-                // budget exhausted): surface the panic as a typed error so
-                // callers can retry from the last checkpoint.
-                let run = catch_unwind(AssertUnwindSafe(|| {
-                    executor.run_epoch(&mut iter, &targets_s, &indices, m, &mut clock)
-                }));
-                if let Err(payload) = run {
-                    return Err(CoreError::Stream {
-                        message: panic_message(payload.as_ref()),
-                    });
-                }
-            } else {
-                executor.run_epoch(&mut iter, &targets_s, &indices, m, &mut clock);
-            }
-            let stats = epoch_stats(
-                epoch,
-                &iter,
-                targets,
-                val_s.as_ref().map(|(f, v)| (f.as_ref(), *v)),
-                eval_tile,
-                &clock,
-                start,
-            );
-            // Divergence safeguard: the analytic η relies on estimated
-            // spectra; if the training MSE regresses, the estimate was on
-            // the unstable side — halve the step and continue. At paper
-            // scale (s = 1.2e4) this never fires; it protects small-s runs.
-            // A catastrophic blow-up (MSE far beyond the one-hot target
-            // scale) additionally rolls the weights back to the last
-            // healthy snapshot (falling back to a zero restart when none
-            // exists yet), since exponentially overgrown weights cannot be
-            // contracted back within any reasonable epoch budget.
-            let diverged = stats.train_mse > prev_mse * 1.2;
-            if diverged && eta_backoffs < 16 {
-                iter.set_eta(iter.eta() * 0.5);
-                eta_backoffs += 1;
-                if !stats.train_mse.is_finite() || stats.train_mse > 100.0 {
-                    match &last_good {
-                        Some(weights) => {
-                            iter.model_mut()
-                                .weights_mut()
-                                .as_mut_slice()
-                                .copy_from_slice(weights.as_slice());
-                            rollbacks += 1;
-                        }
-                        None => iter.model_mut().weights_mut().as_mut_slice().fill(S::ZERO),
-                    }
-                }
-            }
-            // "Healthy" is the bar for a state worth resuming from: finite
-            // and within the catastrophic-blow-up bound. A mild regression
-            // (the 1.2x divergence test above) still checkpoints — the
-            // halved η is part of the recorded state, so resuming from it
-            // continues the corrected trajectory.
-            let healthy = stats.train_mse.is_finite() && stats.train_mse <= 100.0;
-            prev_mse = stats.train_mse.min(prev_mse);
-            let reached_target = cfg
-                .target_train_mse
-                .map(|t| stats.train_mse <= t)
-                .unwrap_or(false)
-                || matches!(
-                    (cfg.target_val_error, stats.val_error),
-                    (Some(t), Some(ve)) if ve <= t
-                );
-            let mut stop = None;
-            if let (Some(es), Some(ve)) = (cfg.early_stopping, stats.val_error) {
-                if ve < best_val - es.min_delta {
-                    best_val = ve;
-                    since_best = 0;
-                } else {
-                    since_best += 1;
-                }
-                if since_best >= es.patience {
-                    stop = Some(StopReason::EarlyStopped);
-                }
-            }
-            if stop.is_none() && reached_target {
-                stop = Some(StopReason::TargetReached);
-            }
-            epochs_out.push(stats);
+            indices.shuffle(&mut StdRng::seed_from_u64(epoch_seed(
+                cfg.seed,
+                epoch as u64,
+            )));
+            run_epoch(
+                engine.as_deref_mut(),
+                &mut iter,
+                &targets_s,
+                &indices,
+                &shape,
+                &mut clock,
+            )?;
+            let val_epoch = val_s.as_ref().map(|(f, v)| (f.as_ref(), *v));
+            let stats = epoch_stats(epoch, &iter, targets, val_epoch, eval_tile, &clock, start);
+            let (healthy, stop) =
+                judge_epoch(cfg, &mut state, &mut iter, last_good.as_ref(), stats);
             // Checkpoint cadence: only healthy epochs refresh the rollback
             // snapshot and hit disk, so the newest checkpoint is always a
-            // state worth resuming from. A failed write warns and keeps
-            // training — the previous checkpoint survives intact (atomic
-            // rename), which is exactly the crash-consistency contract.
+            // state worth resuming from.
             if healthy
-                && (epoch % cfg.checkpoint_every.max(1) == 0
-                    || stop.is_some()
-                    || epoch == cfg.epochs)
+                && (epoch % cfg.checkpoint_every == 0 || stop.is_some() || epoch == cfg.epochs)
             {
                 last_good = Some(iter.model().weights().clone());
-                if let (Some(dir), Some(k64)) = (&cfg.checkpoint_dir, &ckpt_kernel) {
-                    let state = TrainerState {
-                        epochs_done: epoch as u64,
-                        eta: iter.eta(),
-                        eta_backoffs,
-                        rollbacks,
-                        best_val,
-                        since_best: since_best as u64,
-                        prev_mse,
-                        sgd_ops: iter.counter().sgd_ops,
-                        precond_ops: iter.counter().precond_ops,
-                        iterations: iter.counter().iterations,
-                        simulated_seconds: clock.elapsed(),
-                        sim_launches: clock.launches(),
-                        sim_total_ops: clock.total_ops(),
-                        plan_fingerprint: fingerprint,
-                        precision: cfg.precision,
-                        history: epochs_out.clone(),
-                    };
-                    let snapshot = KernelModel::from_weights(
-                        Arc::clone(k64),
-                        features.clone(),
-                        iter.model().weights().cast(),
-                    );
-                    let path = dir.join(format!("ckpt-{epoch:06}.ep2"));
-                    if let Err(e) = persist::save_checkpoint(&snapshot, &state, &path) {
-                        eprintln!(
-                            "warning: checkpoint write failed at epoch {epoch} ({e}); \
-                             training continues"
-                        );
-                    } else if let Some(keep) = cfg.checkpoint_keep {
-                        // Prune only after the atomic write landed: the
-                        // newest file is durable before any older one is
-                        // deleted, so a crash at any point still leaves a
-                        // resumable checkpoint on disk.
-                        prune_checkpoints(dir, keep.max(1));
-                    }
+                if let Some(dir) = &cfg.checkpoint_dir {
+                    self.write_checkpoint(dir, features, &iter, &clock, &mut state);
                 }
             }
             if let Some(reason) = stop {
                 stop_reason = reason;
-                break 'outer;
+                break;
             }
         }
 
         // Training over: collect the self-healing log, release the ring and
         // the residency reservation, then audit the ledger — the whole run,
         // tiles included, must have stayed within `S_G`.
-        let stream_recoveries = executor.stream_recoveries();
-        degradations.extend(executor.stream_fault_log());
-        drop(executor);
+        let stream_recoveries = engine.as_ref().map_or(0, |e| e.recoveries());
+        degradations.extend(engine.iter().flat_map(|e| e.fault_log().iter().cloned()));
+        drop((engine, residency));
         let peak_slots = ledger.peak_slots();
         let budget_slots = ledger.budget();
         debug_assert!(peak_slots <= budget_slots, "ledger over-ran S_G");
 
-        let last = *epochs_out.last().expect("at least one epoch ran");
+        let last = *state.history.last().expect("at least one epoch ran");
         let report = TrainReport {
-            params,
+            params: plan.params,
             final_train_mse: last.train_mse,
             final_val_error: last.val_error,
             simulated_seconds: clock.elapsed(),
             wall_seconds: start.elapsed().as_secs_f64(),
             iterations: iter.counter().iterations,
             overhead_fraction: iter.counter().overhead_fraction(),
-            epochs: epochs_out,
+            epochs: state.history,
             stop_reason,
-            eta_backoffs,
+            eta_backoffs: state.eta_backoffs,
             precision: cfg.precision,
-            residency,
+            residency: plan.residency,
+            stream_plan: plan.stream,
             peak_slots,
             budget_slots,
-            rollbacks,
+            rollbacks: state.rollbacks,
             stream_recoveries,
             degradations,
             resumed_from_epoch,
@@ -940,105 +901,193 @@ impl EigenPro2 {
             report,
         })
     }
-}
 
-/// Steps 1–2 output: the analytic parameters and the preconditioner (none
-/// for plain SGD), at precision `C`.
-type Planned<C> = Result<(AutoParams, Option<crate::Preconditioner<C>>), CoreError>;
-
-/// The per-epoch execution strategy, carrying the residency reservation it
-/// runs under (the RAII guard lives exactly as long as training does).
-enum Executor<S: Scalar> {
-    /// The paper's path: one in-core `step` per mini-batch.
-    InCore {
-        _residency: ep2_device::memory::Allocation,
-    },
-    /// Out-of-core: the streaming engine produces kernel-block tiles into
-    /// its ledger-charged ring while `step_streamed` consumes them. The
-    /// engine is boxed so the enum's variants stay size-balanced (one
-    /// executor exists per training run — the indirection is free).
-    Streamed {
-        engine: Box<StreamEngine<S>>,
-        /// Table-1 shape of one iteration, for the streamed cost model
-        /// (`m` is rewritten per mini-batch — the last one may be short).
-        shape: ep2_device::cost::ProblemShape,
-        _residency: ep2_device::memory::Allocation,
-    },
-}
-
-impl<S: Scalar> Executor<S> {
-    /// Dead producers the self-healing stream pipeline absorbed (0 for
-    /// in-core execution).
-    fn stream_recoveries(&self) -> usize {
-        match self {
-            Executor::InCore { .. } => 0,
-            Executor::Streamed { engine, .. } => engine.recoveries(),
-        }
-    }
-
-    /// Human-readable log of producer deaths the pipeline recovered from.
-    fn stream_fault_log(&self) -> Vec<String> {
-        match self {
-            Executor::InCore { .. } => Vec::new(),
-            Executor::Streamed { engine, .. } => engine.fault_log().to_vec(),
-        }
-    }
-
-    /// Runs one epoch over the shuffled `indices` in mini-batches of `m`,
-    /// recording every iteration's operation count on the simulated clock.
-    fn run_epoch(
-        &mut self,
-        iter: &mut EigenProIteration<S>,
-        targets: &Matrix<S>,
-        indices: &[usize],
-        m: usize,
-        clock: &mut SimClock,
+    /// Writes `ckpt-{epoch:06}.ep2` into `dir`: the f64 model (weights
+    /// widened from `S`) plus `state`, once its counter and clock fields
+    /// are synced from
+    /// `iter` and `clock`. A failed write warns and training continues —
+    /// the previous checkpoint survives intact (atomic rename), which is
+    /// exactly the crash-consistency contract.
+    fn write_checkpoint<S: Scalar>(
+        &self,
+        dir: &Path,
+        features: &Matrix,
+        iter: &EigenProIteration<S>,
+        clock: &SimClock,
+        state: &mut TrainerState,
     ) {
-        match self {
-            Executor::InCore { .. } => {
-                for chunk in indices.chunks(m) {
-                    let ops = iter.step(chunk, targets);
-                    clock.record_launch(ops);
-                }
-            }
-            Executor::Streamed { engine, shape, .. } => {
-                let n_tile = engine.plan().n_tile;
-                let batches: Vec<&[usize]> = indices.chunks(m).collect();
-                engine.run_epoch(&batches, |bi, tiles| {
-                    iter.step_streamed(batches[bi], targets, tiles);
-                    // The simulated clock prices the *exposed* critical path
-                    // of the overlapped pipeline (assembly of tile t+1 runs
-                    // under the update of tile t) — the same
-                    // `cost::streamed_eigenpro` model the fig3b harness
-                    // plans with, so `ep2 train --out-of-core` and the
-                    // fig3b tables agree on what a streamed iteration
-                    // costs. The FlopCounter keeps counting the full work.
-                    let shape = ep2_device::cost::ProblemShape {
-                        m: batches[bi].len(),
-                        ..*shape
-                    };
-                    let exposed = ep2_device::cost::streamed_eigenpro(&shape, n_tile).exposed_ops;
-                    clock.record_launch(exposed);
-                });
-            }
+        let counter = iter.counter();
+        state.sgd_ops = counter.sgd_ops;
+        state.precond_ops = counter.precond_ops;
+        state.iterations = counter.iterations;
+        state.simulated_seconds = clock.elapsed();
+        state.sim_launches = clock.launches();
+        state.sim_total_ops = clock.total_ops();
+        let cfg = &self.config;
+        let snapshot = KernelModel::from_weights(
+            cfg.kernel.with_bandwidth(cfg.bandwidth).into(),
+            features.clone(),
+            iter.model().weights().cast(),
+        );
+        let epoch = state.epochs_done;
+        let path = dir.join(format!("ckpt-{epoch:06}.ep2"));
+        if let Err(e) = persist::save_checkpoint(&snapshot, state, &path) {
+            eprintln!(
+                "warning: checkpoint write failed at epoch {epoch} ({e}); training continues"
+            );
+        } else if let Some(keep) = cfg.checkpoint_keep {
+            // Prune only after the atomic write landed: the newest file is
+            // durable before any older one is deleted, so a crash at any
+            // point still leaves a resumable checkpoint on disk.
+            prune_checkpoints(dir, keep);
         }
     }
 }
 
-/// Moves a freshly planned preconditioner to the GEMM compute precision the
-/// iteration holds it at — a free move for the native floats
-/// (`S::Compute == S`), a widening cast only under bf16 storage.
-fn precond_into_compute<S: Scalar>(
-    p: crate::Preconditioner<S>,
-) -> crate::Preconditioner<S::Compute> {
-    let boxed: Box<dyn Any> = Box::new(p);
-    match boxed.downcast::<crate::Preconditioner<S::Compute>>() {
-        Ok(same) => *same,
-        Err(boxed) => boxed
-            .downcast_ref::<crate::Preconditioner<S>>()
-            .expect("preconditioner has type Preconditioner<S>")
-            .cast(),
+/// The Steps 1–2 preconditioner at precision `C` (none for plain SGD).
+type Precond<C> = Option<crate::Preconditioner<C>>;
+
+/// Steps 1–2 output: the analytic parameters and the preconditioner.
+type Planned<C> = Result<(AutoParams, Precond<C>), CoreError>;
+
+/// What [`EigenPro2::reserve`] holds for the run: the residency
+/// reservation, the stream engine under a streamed plan, and the
+/// degradations it took to get there.
+type Reserved<S> = (Allocation, Option<Box<StreamEngine<S>>>, Vec<String>);
+
+/// Puts a resumed run's `weights`, η and counters back on `iter` and its
+/// time on `clock` — the inverse of [`EigenPro2::write_checkpoint`]'s sync.
+fn restore_run<S: Scalar>(
+    state: &TrainerState,
+    weights: Matrix<S>,
+    iter: &mut EigenProIteration<S>,
+    clock: &mut SimClock,
+) {
+    *iter.model_mut().weights_mut() = weights;
+    iter.set_eta(state.eta);
+    *iter.counter_mut() = FlopCounter {
+        sgd_ops: state.sgd_ops,
+        precond_ops: state.precond_ops,
+        iterations: state.iterations,
+    };
+    clock.restore(
+        state.simulated_seconds,
+        state.sim_launches,
+        state.sim_total_ops,
+    );
+}
+
+/// Runs one epoch over the shuffled `indices` in mini-batches of `shape.m`,
+/// recording every iteration's operation count on the simulated clock. In
+/// core each `step` assembles its own block; streamed, `engine` produces
+/// the kernel-block tiles into its ledger-charged ring while
+/// `step_streamed` consumes them.
+fn run_epoch<S: Scalar>(
+    engine: Option<&mut StreamEngine<S>>,
+    iter: &mut EigenProIteration<S>,
+    targets: &Matrix<S>,
+    indices: &[usize],
+    shape: &ProblemShape,
+    clock: &mut SimClock,
+) -> Result<(), CoreError> {
+    let Some(engine) = engine else {
+        for chunk in indices.chunks(shape.m) {
+            clock.record_launch(iter.step(chunk, targets));
+        }
+        return Ok(());
+    };
+    let n_tile = engine.plan().n_tile;
+    let batches: Vec<&[usize]> = indices.chunks(shape.m).collect();
+    // A streamed epoch can still fail beyond what the pipeline's
+    // self-healing absorbs (every producer dead with the respawn budget
+    // exhausted): surface the panic as a typed error so callers can retry
+    // from the last checkpoint.
+    catch_unwind(AssertUnwindSafe(|| {
+        engine.run_epoch(&batches, |bi, tiles| {
+            iter.step_streamed(batches[bi], targets, tiles);
+            // The simulated clock prices the *exposed* critical path of the
+            // overlapped pipeline (assembly of tile t+1 runs under the
+            // update of tile t) — the same `cost::streamed_eigenpro` model
+            // the fig3b harness plans with, so `ep2 train --out-of-core` and
+            // the fig3b tables agree on what a streamed iteration costs. The
+            // FlopCounter keeps counting the full work (`m` is rewritten per
+            // mini-batch — the last one may be short).
+            let shape = ProblemShape {
+                m: batches[bi].len(),
+                ..*shape
+            };
+            clock.record_launch(ep2_device::cost::streamed_eigenpro(&shape, n_tile).exposed_ops);
+        });
+    }))
+    .map_err(|payload| CoreError::Stream {
+        message: panic_message(payload.as_ref()),
+    })
+}
+
+/// Folds one finished epoch into the run state: records it, applies the
+/// divergence safeguard, and decides the target and early-stop criteria.
+/// Returns `(healthy, stop)`, where "healthy" is the bar for a state worth
+/// checkpointing.
+fn judge_epoch<S: Scalar>(
+    cfg: &TrainConfig,
+    state: &mut TrainerState,
+    iter: &mut EigenProIteration<S>,
+    last_good: Option<&Matrix<S>>,
+    stats: EpochStats,
+) -> (bool, Option<StopReason>) {
+    let mse = stats.train_mse;
+    // Divergence safeguard: the analytic η relies on estimated spectra; if
+    // the training MSE regresses, the estimate was on the unstable side —
+    // halve the step and continue. At paper scale (s = 1.2e4) this never
+    // fires; it protects small-s runs. A catastrophic blow-up (MSE far
+    // beyond the one-hot target scale) additionally rolls the weights back
+    // to the last healthy snapshot (falling back to a zero restart when none
+    // exists yet), since exponentially overgrown weights cannot be
+    // contracted back within any reasonable epoch budget.
+    if mse > state.prev_mse * 1.2 && state.eta_backoffs < 16 {
+        state.eta *= 0.5;
+        iter.set_eta(state.eta);
+        state.eta_backoffs += 1;
+        if !mse.is_finite() || mse > 100.0 {
+            let weights = iter.model_mut().weights_mut().as_mut_slice();
+            match last_good {
+                Some(good) => {
+                    weights.copy_from_slice(good.as_slice());
+                    state.rollbacks += 1;
+                }
+                None => weights.fill(S::ZERO),
+            }
+        }
     }
+    // Finite and within the catastrophic-blow-up bound. A mild regression
+    // (the 1.2x test above) still counts — the halved η is part of the
+    // recorded state, so resuming from it continues the corrected
+    // trajectory.
+    let healthy = mse.is_finite() && mse <= 100.0;
+    state.prev_mse = mse.min(state.prev_mse);
+    let reached_target = cfg.target_train_mse.is_some_and(|t| mse <= t)
+        || matches!(
+            (cfg.target_val_error, stats.val_error),
+            (Some(t), Some(ve)) if ve <= t
+        );
+    let mut stop = None;
+    if let (Some(es), Some(ve)) = (cfg.early_stopping, stats.val_error) {
+        if ve < state.best_val - es.min_delta {
+            state.best_val = ve;
+            state.since_best = 0;
+        } else {
+            state.since_best += 1;
+        }
+        if state.since_best >= es.patience as u64 {
+            stop = Some(StopReason::EarlyStopped);
+        }
+    }
+    if stop.is_none() && reached_target {
+        stop = Some(StopReason::TargetReached);
+    }
+    state.history.push(stats);
+    state.epochs_done = stats.epoch as u64;
+    (healthy, stop)
 }
 
 /// Casts a borrowed f64 matrix into the training precision, borrowing
@@ -1698,6 +1747,105 @@ mod tests {
             }
             other => panic!("expected DeviceMemory error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn plan_is_what_fit_runs() {
+        let data = catalog::susy_like(300, 4);
+        let (train, _) = data.split_at(300);
+        for precision in [
+            Precision::F64,
+            Precision::F32,
+            Precision::Mixed,
+            Precision::Bf16,
+        ] {
+            for (residency, stream_tile) in
+                [(None, None), (Some(ResidencyMode::Streamed), Some(48))]
+            {
+                let cfg = TrainConfig {
+                    epochs: 1,
+                    precision,
+                    residency,
+                    stream_tile,
+                    ..quick_config()
+                };
+                let trainer = EigenPro2::new(cfg, ResourceSpec::scaled_virtual_gpu());
+                let plan = trainer.plan(&train.features, train.targets.cols()).unwrap();
+                let report = trainer.fit(&train, None).unwrap().report;
+                let case = format!("{precision} {residency:?}");
+                assert!(report.degradations.is_empty(), "{case}");
+                assert_eq!(plan.params, report.params, "{case}");
+                assert_eq!(plan.residency, report.residency, "{case}");
+                assert_eq!(plan.stream, report.stream_plan, "{case}");
+                assert_eq!(plan.stream.map(|sp| sp.n_tile), stream_tile, "{case}");
+            }
+        }
+    }
+
+    /// `fit` and `plan` both refuse `cfg` with an `InvalidConfig` naming
+    /// `field`.
+    fn assert_rejected(cfg: TrainConfig, field: &str) {
+        let data = catalog::susy_like(100, 1);
+        let trainer = EigenPro2::new(cfg, ResourceSpec::scaled_virtual_gpu());
+        let fit = trainer.fit(&data, None).map(|_| ());
+        let plan = trainer
+            .plan(&data.features, data.targets.cols())
+            .map(|_| ());
+        for result in [fit, plan] {
+            match result {
+                Err(CoreError::InvalidConfig { message }) => {
+                    assert!(message.contains(field), "message: {message}");
+                }
+                other => panic!("{field} = 0 was accepted: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn zero_batch_size_is_rejected() {
+        let cfg = TrainConfig {
+            batch_size: Some(0),
+            ..quick_config()
+        };
+        assert_rejected(cfg, "batch_size");
+    }
+
+    #[test]
+    fn zero_stream_tile_is_rejected() {
+        let cfg = TrainConfig {
+            residency: Some(ResidencyMode::Streamed),
+            stream_tile: Some(0),
+            ..quick_config()
+        };
+        assert_rejected(cfg, "stream_tile");
+    }
+
+    #[test]
+    fn zero_stream_producers_is_rejected() {
+        let cfg = TrainConfig {
+            residency: Some(ResidencyMode::Streamed),
+            stream_producers: Some(0),
+            ..quick_config()
+        };
+        assert_rejected(cfg, "stream_producers");
+    }
+
+    #[test]
+    fn zero_checkpoint_every_is_rejected() {
+        let cfg = TrainConfig {
+            checkpoint_every: 0,
+            ..quick_config()
+        };
+        assert_rejected(cfg, "checkpoint_every");
+    }
+
+    #[test]
+    fn zero_checkpoint_keep_is_rejected() {
+        let cfg = TrainConfig {
+            checkpoint_keep: Some(0),
+            ..quick_config()
+        };
+        assert_rejected(cfg, "checkpoint_keep");
     }
 
     #[test]

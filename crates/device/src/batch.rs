@@ -224,6 +224,14 @@ impl StreamedBatchPlan {
     pub fn resident_slots(&self, precision: Precision) -> f64 {
         self.resident_elements * precision.slot_factor()
     }
+
+    /// Re-tiles the plan at `n_tile` columns (an explicit tile override, or
+    /// a narrower tile after a failed ring allocation), recomputing
+    /// [`streamed_slots`] for the `n x d` problem with `l` outputs.
+    pub fn retile(&mut self, n_tile: usize, n: usize, d: usize, l: usize) {
+        self.n_tile = n_tile;
+        self.resident_elements = streamed_slots(n, d, l, self.m, n_tile, self.tiles_in_flight);
+    }
 }
 
 /// Streamed Step 1: choose `m` and `n_tile` jointly so that
@@ -311,8 +319,8 @@ pub fn max_batch_streamed(
 }
 
 /// [`max_batch_streamed`] with the ring depth chosen to fit the pipeline's
-/// *planned* producer count — the single entry point `ep2 plan` and the
-/// trainer share, so both always agree on the tiling.
+/// *planned* producer count — the streamed Step 1 of the trainer's plan
+/// resolver (`EigenPro2::plan`, which `ep2 plan` prints).
 ///
 /// The circularity (ring depth shapes `n_tile`; `n_tile` shapes the
 /// producer plan; producers bound the ring depth) resolves in at most two

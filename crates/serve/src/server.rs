@@ -43,7 +43,9 @@ fn format_row<S: Scalar>(out: &mut String, row: &[S]) {
     }
 }
 
-/// Parses a `v1,v2,...` feature payload at the serving precision.
+/// Parses a `v1,v2,...` feature payload at the serving precision. A value
+/// that is not finite once narrowed to `S` (NaN, ±inf, or past the
+/// precision's range) is refused: it would poison every output of the row.
 fn parse_features<S: Scalar>(payload: &str, dim: usize, buf: &mut Vec<S>) -> Result<(), String> {
     buf.clear();
     for tok in payload.split(',') {
@@ -51,7 +53,13 @@ fn parse_features<S: Scalar>(payload: &str, dim: usize, buf: &mut Vec<S>) -> Res
             .trim()
             .parse()
             .map_err(|_| format!("bad float {tok:?}"))?;
-        buf.push(S::from_f64(v));
+        let narrowed = S::from_f64(v);
+        if !narrowed.to_f64().is_finite() {
+            return Err(format!(
+                "feature {tok:?} is not finite at the serving precision"
+            ));
+        }
+        buf.push(narrowed);
     }
     if buf.len() != dim {
         return Err(format!("expected {dim} features, got {}", buf.len()));

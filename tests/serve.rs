@@ -268,3 +268,36 @@ fn worker_panic_failpoint_loses_no_request() {
         }
     }
 }
+
+#[test]
+fn non_finite_features_are_refused_at_the_serving_precision() {
+    let _g = lock();
+    let model = test_model::<f32>(40, 5, 2);
+    let config = ServeConfig {
+        workers: Some(1),
+        ..Default::default()
+    };
+    let engine = engine_with(model, &config, Precision::F32);
+    // NaN, an infinity, and 1e300 (finite in f64, +inf once narrowed to
+    // f32) must all be refused; a finite row on the same stream is served.
+    let input = "predict 1 0.1,0.2,0.3,0.4,nan\n\
+                 predict 2 0.1,0.2,0.3,0.4,1e300\n\
+                 predict 3 0.1,0.2,0.3,0.4,-inf\n\
+                 predict 4 0.1,0.2,0.3,0.4,0.5\n\
+                 shutdown\n";
+    let mut out: Vec<u8> = Vec::new();
+    eigenpro2::serve::server::serve_lines(&engine, input.as_bytes(), &mut out).unwrap();
+    let replies = String::from_utf8(out).unwrap();
+    for id in 1..=3 {
+        assert!(
+            replies
+                .lines()
+                .any(|l| l.starts_with(&format!("err {id} "))),
+            "request {id} was not refused: {replies}"
+        );
+    }
+    let served: Vec<&str> = replies.lines().filter(|l| l.starts_with("ok ")).collect();
+    assert_eq!(served.len(), 1, "{replies}");
+    assert!(served[0].starts_with("ok 4 "), "{replies}");
+    assert_eq!(engine.stats().served, 1);
+}
