@@ -46,7 +46,8 @@ fn bench_kernel_assembly(c: &mut Criterion) {
 fn bench_eigensolver(c: &mut Criterion) {
     let mut group = c.benchmark_group("sym_eig");
     group.sample_size(10);
-    for &n in &[64usize, 128, 256] {
+    // 1000 is the TIMIT subsample size `s`, where the set-up solve dominates.
+    for &n in &[64usize, 128, 256, 1000] {
         let kernel = GaussianKernel::new(2.0);
         let x = Matrix::from_fn(n, 16, |i, j| ((i * 11 + j * 3) % 53) as f64 / 53.0);
         let km = kmat::kernel_matrix(&kernel, &x);

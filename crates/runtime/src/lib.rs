@@ -47,19 +47,37 @@ use std::sync::OnceLock;
 
 /// Resolves the process-wide thread budget: `EP2_THREADS` if set (≥ 1),
 /// else the machine's available parallelism. Cached after the first call.
+///
+/// A set value that is not a count ≥ 1 (`0`, `-1`, `abc`, empty) is
+/// ignored with one stderr line naming it and the budget used instead.
 pub fn configured_threads() -> usize {
     static N: OnceLock<usize> = OnceLock::new();
     *N.get_or_init(|| {
-        std::env::var("EP2_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
+        let value = std::env::var_os("EP2_THREADS").map(|v| v.to_string_lossy().into_owned());
+        let available = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let (threads, warning) = resolve_threads(value.as_deref(), available);
+        if let Some(warning) = warning {
+            eprintln!("{warning}");
+        }
+        threads
     })
+}
+
+/// The budget an `EP2_THREADS` value (`None` when unset) resolves to on a
+/// machine with `available` parallelism, plus the warning to print when a
+/// set value is ignored.
+fn resolve_threads(value: Option<&str>, available: usize) -> (usize, Option<String>) {
+    match value.map(|v| (v, v.parse::<usize>())) {
+        None => (available, None),
+        Some((_, Ok(n))) if n >= 1 => (n, None),
+        Some((v, _)) => (
+            available,
+            Some(format!(
+                "warning: ignoring EP2_THREADS={v:?} (expected a thread count >= 1); \
+                 using the available parallelism, {available} threads"
+            )),
+        ),
+    }
 }
 
 thread_local! {
@@ -101,6 +119,26 @@ pub fn with_budget<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn thread_override_accepts_counts_from_one() {
+        assert_eq!(resolve_threads(None, 6), (6, None));
+        assert_eq!(resolve_threads(Some("1"), 6), (1, None));
+        assert_eq!(resolve_threads(Some("12"), 6), (12, None));
+    }
+
+    #[test]
+    fn thread_override_junk_falls_back_with_a_warning() {
+        for junk in ["0", "-1", "abc", "", " 2"] {
+            let (threads, warning) = resolve_threads(Some(junk), 6);
+            assert_eq!(threads, 6, "{junk:?}");
+            let warning = warning.unwrap_or_else(|| panic!("{junk:?} ignored silently"));
+            assert!(
+                warning.contains(&format!("EP2_THREADS={junk:?}")) && warning.contains("6 threads"),
+                "{warning}"
+            );
+        }
+    }
 
     #[test]
     fn budget_handle_scopes_and_restores() {

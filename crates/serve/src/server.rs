@@ -19,12 +19,17 @@
 //! pong / stats ... / bye
 //! ```
 //!
+//! A request line may hold at most `4096 + 64·d` bytes for a model with `d`
+//! features, room for any row of shortest round-trip floats. A longer line
+//! is answered with `err - line too long` and skipped through its newline
+//! without being buffered, so a client cannot grow the server's memory.
+//!
 //! Floats are rendered with Rust's shortest round-trippable formatting, so
 //! `ok` payloads parse back to bit-identical values at the serving
 //! precision — the protocol does not erode the engine's bit-for-bit parity
 //! with offline prediction.
 
-use std::io::{BufRead, Write};
+use std::io::{self, BufRead, Write};
 use std::sync::{Mutex, PoisonError};
 
 use ep2_linalg::Scalar;
@@ -67,6 +72,72 @@ fn parse_features<S: Scalar>(payload: &str, dim: usize, buf: &mut Vec<S>) -> Res
     Ok(())
 }
 
+/// Bytes a request line may spend per feature: a shortest round-trip `f64`
+/// takes at most 24, so this leaves room for a comma and padding.
+const FEATURE_BYTES: usize = 64;
+
+/// Bytes a request line may spend on its verb, id and separators.
+const LINE_OVERHEAD_BYTES: usize = 4096;
+
+/// The longest request line, in bytes, accepted for a model with `dim`
+/// features.
+fn line_cap(dim: usize) -> usize {
+    dim.saturating_mul(FEATURE_BYTES)
+        .saturating_add(LINE_OVERHEAD_BYTES)
+}
+
+/// What [`read_capped_line`] found.
+#[derive(Debug, PartialEq, Eq)]
+enum Frame {
+    /// A line of at most the cap, now in the buffer (newline excluded).
+    Line,
+    /// A line over the cap, consumed through its newline; the buffer is
+    /// empty.
+    TooLong,
+    /// End of input.
+    Eof,
+}
+
+/// Reads one `\n`-terminated line into `buf`, which never holds more than
+/// `cap` bytes: the rest of a longer line is consumed and dropped.
+fn read_capped_line(reader: &mut impl BufRead, cap: usize, buf: &mut Vec<u8>) -> io::Result<Frame> {
+    buf.clear();
+    let mut too_long = false;
+    let mut read_any = false;
+    loop {
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            return Ok(match (read_any, too_long) {
+                (false, _) => Frame::Eof,
+                (true, false) => Frame::Line,
+                (true, true) => Frame::TooLong,
+            });
+        }
+        read_any = true;
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let part = &chunk[..newline.unwrap_or(chunk.len())];
+        if !too_long && buf.len() + part.len() <= cap {
+            buf.extend_from_slice(part);
+        } else {
+            too_long = true;
+            buf.clear();
+        }
+        let used = newline.map_or(chunk.len(), |p| p + 1);
+        reader.consume(used);
+        if newline.is_some() {
+            return Ok(if too_long {
+                Frame::TooLong
+            } else {
+                Frame::Line
+            });
+        }
+    }
+}
+
 /// Serves the line protocol until `shutdown` or end-of-input, then drains
 /// the queue and joins the workers. Returns the number of protocol lines
 /// handled.
@@ -76,7 +147,7 @@ fn parse_features<S: Scalar>(payload: &str, dim: usize, buf: &mut Vec<S>) -> Res
 /// interleaving is per-response and clients demultiplex by id.
 pub fn serve_lines<S: Scalar>(
     engine: &ServeEngine<S>,
-    reader: impl BufRead,
+    mut reader: impl BufRead,
     writer: impl Write + Send,
 ) -> std::io::Result<u64> {
     let out = Mutex::new(writer);
@@ -95,9 +166,23 @@ pub fn serve_lines<S: Scalar>(
     let mut handled = 0_u64;
     let result = engine.run(&sink, || -> std::io::Result<u64> {
         let mut features: Vec<S> = Vec::with_capacity(dim);
-        for line in reader.lines() {
-            let line = line?;
-            let line = line.trim();
+        let cap = line_cap(dim);
+        let mut bytes = Vec::new();
+        loop {
+            let frame = read_capped_line(&mut reader, cap, &mut bytes)?;
+            if frame == Frame::Eof {
+                break;
+            }
+            if frame == Frame::TooLong {
+                handled += 1;
+                let mut w = lock();
+                writeln!(w, "err - line too long (limit {cap} bytes)")?;
+                w.flush()?;
+                continue;
+            }
+            let line = std::str::from_utf8(&bytes)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
+                .trim();
             if line.is_empty() {
                 continue;
             }
@@ -176,6 +261,38 @@ mod tests {
         assert_eq!(buf, vec![1.0, 2.0]);
         assert!(parse_features::<f64>("1.0", 2, &mut buf).is_err());
         assert!(parse_features::<f64>("1.0,abc", 2, &mut buf).is_err());
+    }
+
+    #[test]
+    fn capped_reader_drops_long_lines_without_buffering_them() {
+        let long = "x".repeat(10_000);
+        let input = format!("short\n{long}\nsix666\nexact\ntail\n\nat-eof");
+        // A tiny read buffer makes the long line arrive in many chunks.
+        let mut reader = io::BufReader::with_capacity(7, input.as_bytes());
+        let mut buf = Vec::new();
+        let mut frames = Vec::new();
+        loop {
+            let frame = read_capped_line(&mut reader, 5, &mut buf).unwrap();
+            assert!(buf.capacity() <= 16, "buffered {} bytes", buf.capacity());
+            if frame == Frame::Eof {
+                break;
+            }
+            frames.push((frame, String::from_utf8(buf.clone()).unwrap()));
+        }
+        let expected = [
+            (Frame::Line, "short"),
+            (Frame::TooLong, ""),
+            (Frame::TooLong, ""),
+            (Frame::Line, "exact"),
+            (Frame::Line, "tail"),
+            (Frame::Line, ""),
+            (Frame::TooLong, ""),
+        ];
+        let expected: Vec<(Frame, String)> = expected
+            .into_iter()
+            .map(|(f, l)| (f, l.to_string()))
+            .collect();
+        assert_eq!(frames, expected);
     }
 
     #[test]

@@ -301,3 +301,47 @@ fn non_finite_features_are_refused_at_the_serving_precision() {
     assert!(served[0].starts_with("ok 4 "), "{replies}");
     assert_eq!(engine.stats().served, 1);
 }
+
+#[test]
+fn over_long_line_is_refused_and_the_next_request_served_bitwise() {
+    let _g = lock();
+    let (d, l) = (5, 2);
+    let model = test_model::<f32>(40, d, l);
+    let config = ServeConfig {
+        workers: Some(1),
+        ..Default::default()
+    };
+    let engine = engine_with(model.clone(), &config, Precision::F32);
+    // A 4 MB request line, far past the cap for five features, then a
+    // normal request on the same stream.
+    let huge = format!("predict big {}", "0.125,".repeat(700_000));
+    assert!(huge.len() > 4 << 20);
+    let row = [0.1_f32, 0.2, 0.3, 0.4, 0.5];
+    let payload: Vec<String> = row.iter().map(|v| v.to_string()).collect();
+    let input = format!("{huge}\npredict 7 {}\nshutdown\n", payload.join(","));
+    let mut out: Vec<u8> = Vec::new();
+    let handled =
+        eigenpro2::serve::server::serve_lines(&engine, input.as_bytes(), &mut out).unwrap();
+    assert_eq!(handled, 3);
+    let replies = String::from_utf8(out).unwrap();
+    assert!(
+        replies
+            .lines()
+            .next()
+            .is_some_and(|l| l.starts_with("err - line too long")),
+        "{replies}"
+    );
+    let served: Vec<&str> = replies.lines().filter(|l| l.starts_with("ok ")).collect();
+    assert_eq!(served.len(), 1, "{replies}");
+    let values: Vec<f32> = served[0]
+        .strip_prefix("ok 7 ")
+        .expect("reply to request 7")
+        .split(',')
+        .map(|v| v.parse().expect("a float"))
+        .collect();
+    let offline = model.predict_with(&Matrix::from_vec(1, d, row.to_vec()), &engine.plan().opts);
+    assert_eq!(values.len(), l);
+    for (s, o) in values.iter().zip(offline.row(0)) {
+        assert_eq!(s.to_bits(), o.to_bits());
+    }
+}
